@@ -16,6 +16,14 @@
 #                      session-level proof that incremental caching
 #                      changes no decision (docs/COST_MODEL.md
 #                      "Incremental recomputation").
+#   session_elastic -- every checkpoint-coordinated restart trigger in one
+#                      run: worker loss, request_shrink() preemption,
+#                      elastic shrink/expand (accepted and payoff-rejected),
+#                      straggler window, periodic checkpoints.
+#   session_repack  -- throughput-preserving re-packing under a payoff
+#                      window: one accepted pack (post-pack polish), two
+#                      payoff-rejected ones.  Both session_* scenarios are
+#                      replayed under both decision paths like session.
 #   threaded_fault  -- heartbeat-detected worker-loss recovery; replayed on
 #                      BOTH transport backends.  The same bytes must come
 #                      out of inproc and socket: this is the proof that the
@@ -79,7 +87,7 @@ compare_dir() {
 # Both decision paths must reproduce the same committed golden: the
 # incremental cost surface may change no decision, bottleneck, priced
 # cost, or telemetry byte relative to the full-rescan reference.
-for s in session large_grid; do
+for s in session large_grid session_elastic session_repack; do
     for p in incremental rescan; do
         mkdir "$TMP/${s}_$p"
         "$GEN" --scenario "$s" --out "$TMP/${s}_$p" --decision-path "$p" >/dev/null
@@ -101,5 +109,6 @@ if [ "$fail" -ne 0 ]; then
          "tests/golden/ with golden_trace_gen and commit)"
     exit 1
 fi
-echo "golden-trace gate: OK (session + large_grid on both decision paths," \
+echo "golden-trace gate: OK (session, large_grid, session_elastic and" \
+     "session_repack on both decision paths," \
      "threaded_fault on inproc and socket)"

@@ -3,6 +3,8 @@
 //
 //   golden_trace_gen --scenario session        --out DIR [--decision-path P]
 //   golden_trace_gen --scenario large_grid     --out DIR [--decision-path P]
+//   golden_trace_gen --scenario session_elastic --out DIR [--decision-path P]
+//   golden_trace_gen --scenario session_repack --out DIR [--decision-path P]
 //   golden_trace_gen --scenario threaded_fault --out DIR [--transport T]
 //
 // `session` is the small modeled session from the telemetry tests (8
@@ -26,6 +28,14 @@
 // session-level proof that the incremental surface changes no decision
 // (docs/COST_MODEL.md "Incremental recomputation").
 //
+// `session_elastic` and `session_repack` pin the checkpoint-coordinated
+// restart (docs/RUNTIME.md): the first drives every restart trigger —
+// worker loss, request_shrink() preemption, elastic shrink and expand —
+// through start/step/finish with a straggler window and periodic
+// checkpoints; the second pins throughput-preserving re-packing with one
+// accepted and several payoff-rejected packs.  Their elastic_transitions
+// and fault_events tables are the byte gate on those paths.
+//
 // For threaded_fault the tool also runs the fault-free twin of the same
 // seed in memory and refuses (exit 2) to emit a golden whose recovery
 // checksums disagree with it — a golden that violates the paper's
@@ -38,13 +48,15 @@
 #include <vector>
 
 #include "dynmo/dynmo.hpp"
+#include "repack/elastic.hpp"
 #include "runtime/threaded.hpp"
 
 namespace {
 
 int usage(const char* argv0) {
   std::fprintf(stderr,
-               "usage: %s --scenario session|large_grid|threaded_fault "
+               "usage: %s --scenario session|large_grid|session_elastic|"
+               "session_repack|threaded_fault "
                "--out DIR [--transport inproc|socket] "
                "[--decision-path incremental|rescan]\n",
                argv0);
@@ -111,6 +123,119 @@ void run_large_grid(const std::string& out, bool incremental) {
               static_cast<std::size_t>(opt.session.iterations /
                                        opt.session.sim_stride),
               result.tokens_per_sec);
+}
+
+/// Load lull then spike: layers past the first `heavy` nearly vanish over
+/// [lull_begin, lull_end) and come back at full weight afterwards — the
+/// shape that makes the elastic controller release workers and reclaim
+/// them (mirrors tests/test_elastic.cpp SpikeEngine).
+class LullEngine : public dynmo::dynamic::DynamismEngine {
+ public:
+  LullEngine(std::int64_t lull_begin, std::int64_t lull_end,
+             std::size_t heavy)
+      : begin_(lull_begin), end_(lull_end), heavy_(heavy) {}
+  std::string name() const override { return "lull"; }
+  bool is_dynamism_point(std::int64_t iter) const override {
+    return iter == begin_ || iter == end_;
+  }
+  void step(std::int64_t iter,
+            std::span<dynmo::model::LayerState> states) override {
+    const bool lull = iter >= begin_ && iter < end_;
+    for (std::size_t l = heavy_; l < states.size(); ++l) {
+      states[l].compute_scale = lull ? 0.02 : 1.0;
+    }
+  }
+  std::int64_t recommended_rebalance_interval() const override {
+    return 100;
+  }
+
+ private:
+  std::int64_t begin_, end_;
+  std::size_t heavy_;
+};
+
+void run_session_elastic(const std::string& out, bool incremental) {
+  using namespace dynmo;
+  // Every restart trigger in one run (docs/RUNTIME.md "Checkpoint-
+  // coordinated restart"): a scripted worker loss at 250, an arbiter-style
+  // request_shrink at 600, a voluntary elastic shrink in the lull and the
+  // expand when the load returns, plus a straggler window and periodic
+  // checkpoints the loss rolls back to.
+  runtime::SessionConfig cfg;
+  cfg.pipeline_stages = 8;
+  cfg.micro_batch = 2;
+  cfg.num_microbatches = 16;
+  cfg.iterations = 3000;
+  cfg.sim_stride = 50;
+  cfg.rebalance_interval = 100;
+  cfg.mode = runtime::BalancingMode::DynMo;
+  cfg.algorithm = balance::Algorithm::Partition;
+  cfg.balance_by = balance::BalanceBy::Time;
+  cfg.elastic.enabled = true;
+  cfg.elastic.interval = 500;
+  cfg.elastic.min_workers = 2;
+  cfg.elastic.payoff_window_iters = 600.0;
+  cfg.elastic.restart_alpha_s = 0.5;
+  cfg.elastic.checkpoint_bw = 16.0 * 1024 * 1024 * 1024;
+  repack::MockEckCluster eck(8);
+  cfg.elastic.cluster = &eck;
+  cfg.fault.losses = {{.iter = 250, .worker = 3}};
+  cfg.fault.slowdowns = {
+      {.worker = 1, .multiplier = 0.5, .from_iter = 2200, .until_iter = 2600}};
+  cfg.checkpoint_interval_iters = 200;
+  cfg.telemetry.dir = out;
+  cfg.telemetry.deterministic = true;
+  cfg.incremental_decisions = incremental;
+  const auto m = model::make_gpt({.num_blocks = 24,
+                                  .include_embedding = false,
+                                  .include_lm_head = false});
+  LullEngine engine(/*lull_begin=*/1000, /*lull_end=*/2000, /*heavy=*/4);
+  runtime::TrainingSession session(m, cfg, &engine);
+  session.start();
+  while (session.current_iter() < 600) (void)session.step();
+  session.request_shrink(6);
+  while (!session.done()) (void)session.step();
+  const auto r = session.finish();
+  std::printf("session_elastic[%s]: losses %d forced %d shrinks %d expands "
+              "%d stragglers %d checkpoints %d, final %d stages\n",
+              incremental ? "incremental" : "rescan", r.worker_losses,
+              r.forced_shrinks, r.shrinks, r.expands, r.straggler_events,
+              r.checkpoints_written, r.final_map.num_stages());
+}
+
+void run_session_repack(const std::string& out, bool incremental) {
+  using namespace dynmo;
+  // Throughput-preserving re-packing under a payoff window: the early-exit
+  // model concentrates, the first packs cannot amortize their transfer
+  // within the window (rejected rows), a later one can (accepted row,
+  // migration rows, post-pack polish).
+  Options opt;
+  opt.session.pipeline_stages = 16;
+  opt.session.micro_batch = 2;
+  opt.session.num_microbatches = 32;
+  opt.session.iterations = 3000;
+  opt.session.sim_stride = 50;
+  opt.session.rebalance_interval = 100;
+  opt.session.mode = runtime::BalancingMode::DynMo;
+  opt.session.algorithm = balance::Algorithm::Diffusion;
+  opt.session.repack = true;
+  opt.session.repack_interval = 500;
+  opt.session.repack_policy =
+      runtime::SessionConfig::RepackPolicy::ThroughputPreserving;
+  opt.session.payoff_window_iters = 200.0;
+  opt.session.telemetry.dir = out;
+  opt.session.telemetry.deterministic = true;
+  opt.session.telemetry.per_layer = false;
+  opt.session.incremental_decisions = incremental;
+  Session session(model::make_gpt({.num_blocks = 24,
+                                   .include_embedding = false,
+                                   .include_lm_head = false}),
+                  UseCase::EarlyExit, opt);
+  const auto r = session.run();
+  std::printf("session_repack[%s]: repacks %d payoff rejections %d, final "
+              "%d stages\n",
+              incremental ? "incremental" : "rescan", r.repack_count,
+              r.maps_rejected_payoff, r.final_map.num_stages());
 }
 
 int run_threaded_fault(const std::string& out, dynmo::comm::TransportKind k) {
@@ -217,6 +342,14 @@ int main(int argc, char** argv) {
     }
     if (scenario == "large_grid") {
       run_large_grid(out, incremental);
+      return 0;
+    }
+    if (scenario == "session_elastic") {
+      run_session_elastic(out, incremental);
+      return 0;
+    }
+    if (scenario == "session_repack") {
+      run_session_repack(out, incremental);
       return 0;
     }
     if (scenario == "threaded_fault") {
