@@ -24,6 +24,10 @@ struct FrameHeader {
 };
 static_assert(sizeof(FrameHeader) == 24, "frame header is 24 bytes on wire");
 
+/// Largest payload a frame may announce.  The reader allocates before it
+/// reads, so an unchecked corrupt length would be an allocation bomb.
+constexpr std::uint64_t kMaxFramePayload = std::uint64_t{1} << 30;  // 1 GiB
+
 /// Write exactly `len` bytes.  Returns false if the peer is gone (EPIPE /
 /// ECONNRESET / shutdown descriptor) — the send contract is to drop, not
 /// throw, so callers ignore a false return.
@@ -73,8 +77,9 @@ SocketTransport::SocketTransport(int num_ranks) {
   }
   // Readers start only after every endpoint exists, so a reader can never
   // observe a half-built transport.
-  for (auto& ep : endpoints_) {
-    ep->reader = std::thread([this, e = ep.get()] { reader_main(*e); });
+  for (int i = 0; i < num_ranks; ++i) {
+    endpoints_[static_cast<std::size_t>(i)]->reader =
+        std::thread([this, i] { reader_main(i); });
   }
 }
 
@@ -93,13 +98,19 @@ SocketTransport::Endpoint& SocketTransport::endpoint(int rank) const {
   return *endpoints_[static_cast<std::size_t>(rank)];
 }
 
-void SocketTransport::reader_main(Endpoint& ep) {
+void SocketTransport::reader_main(int self) {
+  Endpoint& ep = endpoint(self);
   for (;;) {
     FrameHeader h;
     if (!read_full(ep.recv_fd, reinterpret_cast<std::byte*>(&h), sizeof h)) {
       break;  // endpoint shut down (or torn frame at shutdown)
     }
-    if (h.magic != kFrameMagic) break;  // corrupt stream: fail stop
+    // Corrupt stream: fail stop.  Sources are ranks of a communicator,
+    // which never outgrows the world; contexts are non-negative ids.
+    if (h.magic != kFrameMagic || h.source < 0 || h.source >= size() ||
+        h.context < 0 || h.payload_len > kMaxFramePayload) {
+      break;
+    }
     Message msg;
     msg.source = h.source;
     msg.context = h.context;
@@ -108,12 +119,17 @@ void SocketTransport::reader_main(Endpoint& ep) {
     if (!read_full(ep.recv_fd, msg.payload.data(), msg.payload.size())) break;
     ep.inbox.deliver(std::move(msg));
   }
-  // Reader exit == endpoint closed: release any blocked receiver.  (close()
-  // also does this directly so receivers don't wait on thread scheduling.)
-  ep.inbox.close();
+  // Reader exit == endpoint closed: release any blocked receiver with
+  // CommError, and shut the descriptors so later senders drop instead of
+  // filling a socket nobody drains.  (close() is idempotent; on a normal
+  // shutdown it already ran.)
+  close(self);
 }
 
 void SocketTransport::send(int dst, Message msg) {
+  DYNMO_CHECK(msg.payload.size() <= kMaxFramePayload,
+              "payload of " << msg.payload.size()
+                            << " bytes exceeds the socket frame limit");
   // Count every send attempt, like the in-proc backend, so byte/message
   // counters agree across backends even when shutdown races a send.
   count_send(msg.payload.size());

@@ -58,7 +58,7 @@ class SocketTransport final : public Transport {
   };
 
   Endpoint& endpoint(int rank) const;
-  void reader_main(Endpoint& ep);
+  void reader_main(int self);
 
   std::vector<std::unique_ptr<Endpoint>> endpoints_;
 };

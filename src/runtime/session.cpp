@@ -71,6 +71,22 @@ pipeline::CostBuilderConfig make_builder_config(
   return bc;
 }
 
+/// Load of the busiest stage when `map` sums `per_layer` (0 for no stages).
+double bottleneck(const pipeline::StageMap& map,
+                  std::span<const double> per_layer) {
+  const auto loads = map.stage_loads(per_layer);
+  return loads.empty() ? 0.0 : *std::max_element(loads.begin(), loads.end());
+}
+
+/// Per-iteration layer seconds: a stage processes every microbatch, while
+/// the balancers' profile is in per-microbatch currency.  Restart stalls
+/// are wall-clock seconds, so they weigh against these.
+std::vector<double> per_iteration(std::vector<double> layer_s,
+                                  int microbatches) {
+  for (double& x : layer_s) x *= static_cast<double>(microbatches);
+  return layer_s;
+}
+
 }  // namespace
 
 const char* to_string(BalancingMode m) {
@@ -392,6 +408,108 @@ balance::RebalanceOutcome TrainingSession::run_rebalance(
   return outcome;
 }
 
+void TrainingSession::polish(const balance::LayerProfile& profile,
+                             const char* trigger, double& event_time) {
+  auto& R = *run_;
+  R.rebalancer.emplace(make_rebalancer(R.active));
+  const auto rb = run_rebalance(profile, R.map);
+  R.map = rb.map;
+  account_outcome(rb, 1.0, R.iter, trigger);
+  // A one-off event accounted like any other rebalance, except profiling:
+  // the polish reuses a profile that is already paid for.
+  balance::OverheadBreakdown overhead = rb.overhead;
+  overhead.profile_s = 0.0;
+  R.res.overhead += overhead;
+  event_time += overhead.total_s();
+}
+
+balance::LayerProfile TrainingSession::raw_profile(
+    std::span<const double> layer_seconds,
+    std::span<const double> mem) const {
+  balance::LayerProfile profile;
+  profile.time_s.assign(layer_seconds.begin(), layer_seconds.end());
+  profile.memory_bytes.assign(mem.begin(), mem.end());
+  profile.params.reserve(model_->num_layers());
+  for (const auto& l : model_->layers) {
+    profile.params.push_back(static_cast<double>(l.params));
+  }
+  return profile;
+}
+
+repack::ContiguousRepackResult TrainingSession::pack(
+    std::span<const double> mem, int target, int stages) const {
+  repack::ContiguousRepackRequest req;
+  req.memory_bytes.assign(mem.begin(), mem.end());
+  req.mem_capacity = run_->mem_capacity;
+  req.target_workers = target;
+  // Deployment-aware packing prefers vacating whole nodes when it picks
+  // the count itself (target 0); an explicit target is honored exactly.
+  return deployment_ ? repack::repack_contiguous(req, stages, *deployment_)
+                     : repack::repack_contiguous(req, stages);
+}
+
+void TrainingSession::emit_transition(const char* kind, bool accepted,
+                                      const ElasticDecision& d,
+                                      double migrated_bytes) {
+  auto& R = *run_;
+  if (!R.trace) return;
+  telemetry::ElasticTransitionRow row;
+  row.iter = R.iter;
+  row.kind = kind;
+  row.accepted = accepted;
+  row.workers_before = R.active;
+  row.workers_after = d.target_workers;
+  row.stall_s = d.restart_stall_s;
+  row.alpha_s = d.stall.alpha_s;
+  row.bootstrap_s = d.stall.bootstrap_s;
+  row.ckpt_write_s = d.stall.ckpt_write_s;
+  row.ckpt_read_s = d.stall.ckpt_read_s;
+  row.projected_gain_s = d.projected_gain_s;
+  row.migrated_bytes = migrated_bytes;
+  R.trace->write_elastic_transition(row);
+}
+
+ElasticDecision TrainingSession::commit_release(
+    int target, const pipeline::StageMap& packed,
+    std::span<const double> mem) {
+  auto& R = *run_;
+  ElasticDecision d;
+  d.action = ElasticAction::Shrink;
+  d.target_workers = target;
+  d.stall = R.elastic->restart_stall(R.map, packed, mem);
+  d.restart_stall_s = d.stall.total_s();
+  // Releases always succeed (ControlPlane contract) — a refusal here means
+  // the arbiter and the session disagree about the claim, a real bug.
+  DYNMO_CHECK(R.elastic->commit(d), "control plane refused a release");
+  return d;
+}
+
+void TrainingSession::restart_onto(const pipeline::StageMap& packed,
+                                   int workers, double charged_s,
+                                   const balance::LayerProfile& polish_profile,
+                                   double& event_time,
+                                   double& iter_restart_stall) {
+  auto& R = *run_;
+  // Serialize the training state through the real binary format, swap in
+  // the re-packed map over the new worker count, and resume from the
+  // restored checkpoint.  Weights arrive via reload, so no migration bytes
+  // are issued; the transition is charged as `charged_s` of stall instead.
+  Checkpoint ckpt;
+  ckpt.iteration = R.iter;
+  ckpt.stage_map = R.map;
+  ckpt.layer_states.assign(R.states.begin(), R.states.end());
+  auto restored = Checkpoint::deserialize(ckpt.serialize());
+  R.map = packed;
+  R.states = std::move(restored.layer_states);
+  R.active = workers;
+  event_time += charged_s;
+  R.res.restart_stall_s += charged_s;
+  iter_restart_stall += charged_s;
+  // Resharding "comes for free" on reload (§3.4.2), but the pack is
+  // memory-driven: polish with a time rebalance over the new worker count.
+  polish(polish_profile, "post_restart", event_time);
+}
+
 void TrainingSession::start() {
   DYNMO_CHECK(run_ == nullptr, "session already started");
   run_ = std::make_unique<Run>();
@@ -589,68 +707,49 @@ void TrainingSession::request_shrink(int target_workers) {
   R.pending_shrink = target_workers;
 }
 
-TransitionQuote TrainingSession::quote_shrink(int target_workers) const {
+TransitionQuote TrainingSession::quote(int target_workers, bool expand) const {
   DYNMO_CHECK(run_ != nullptr && run_->elastic.has_value(),
               "quotes need a started session with elastic.enabled");
   const auto& R = *run_;
   TransitionQuote q;
   q.workers_before = R.active;
   q.workers_after = target_workers;
-  std::vector<double> iter_layer_s = builder_.layer_total_seconds(R.states);
-  for (double& x : iter_layer_s) {
-    x *= static_cast<double>(cfg_.num_microbatches);
-  }
-  const auto loads = R.map.stage_loads(iter_layer_s);
-  q.iter_s_before =
-      loads.empty() ? 0.0 : *std::max_element(loads.begin(), loads.end());
-  if (target_workers < R.elastic->min_workers() ||
-      target_workers >= R.active) {
-    return q;
-  }
+  const auto iter_layer_s = per_iteration(
+      builder_.layer_total_seconds(R.states), cfg_.num_microbatches);
+  q.iter_s_before = bottleneck(R.map, iter_layer_s);
+  const bool in_range =
+      expand ? target_workers > R.active &&
+                   target_workers <= R.elastic->max_workers()
+             : target_workers >= R.elastic->min_workers() &&
+                   target_workers < R.active;
+  if (!in_range) return q;
   const auto mem = builder_.layer_memory_bytes(R.states, R.map);
-  repack::ContiguousRepackRequest req;
-  req.memory_bytes = mem;
-  req.mem_capacity = R.mem_capacity;
-  req.target_workers = target_workers;
-  const auto rp = repack::repack_contiguous(req, target_workers);
-  if (!rp.feasible) return q;  // the model does not fit that tight
-  q.restart_stall_s = R.elastic->restart_stall_s(R.map, rp.map, mem);
+  pipeline::StageMap after;
+  if (expand) {
+    // The post-restart map is the balanced partition at the grown count —
+    // exactly what reshard-on-reload produces (ElasticController::decide).
+    balance::PartitionRequest preq;
+    preq.weights = iter_layer_s;
+    preq.num_stages = target_workers;
+    after = balance::PartitionBalancer{}.balance(preq).map;
+  } else {
+    auto rp = pack(mem, target_workers, target_workers);
+    if (!rp.feasible) return q;  // the model does not fit that tight
+    after = std::move(rp.map);
+  }
+  q.restart_stall_s = R.elastic->restart_stall_s(R.map, after, mem);
   q.iter_s_after = balance::PartitionBalancer::optimal_bottleneck(
       iter_layer_s, target_workers);
   q.feasible = true;
   return q;
 }
 
+TransitionQuote TrainingSession::quote_shrink(int target_workers) const {
+  return quote(target_workers, /*expand=*/false);
+}
+
 TransitionQuote TrainingSession::quote_expand(int target_workers) const {
-  DYNMO_CHECK(run_ != nullptr && run_->elastic.has_value(),
-              "quotes need a started session with elastic.enabled");
-  const auto& R = *run_;
-  TransitionQuote q;
-  q.workers_before = R.active;
-  q.workers_after = target_workers;
-  std::vector<double> iter_layer_s = builder_.layer_total_seconds(R.states);
-  for (double& x : iter_layer_s) {
-    x *= static_cast<double>(cfg_.num_microbatches);
-  }
-  const auto loads = R.map.stage_loads(iter_layer_s);
-  q.iter_s_before =
-      loads.empty() ? 0.0 : *std::max_element(loads.begin(), loads.end());
-  if (target_workers <= R.active ||
-      target_workers > R.elastic->max_workers()) {
-    return q;
-  }
-  // The post-restart map is the balanced partition at the grown count —
-  // exactly what reshard-on-reload produces (ElasticController::decide).
-  balance::PartitionRequest preq;
-  preq.weights.assign(iter_layer_s.begin(), iter_layer_s.end());
-  preq.num_stages = target_workers;
-  const auto balanced = balance::PartitionBalancer{}.balance(preq);
-  const auto mem = builder_.layer_memory_bytes(R.states, R.map);
-  q.restart_stall_s = R.elastic->restart_stall_s(R.map, balanced.map, mem);
-  q.iter_s_after = balance::PartitionBalancer::optimal_bottleneck(
-      iter_layer_s, target_workers);
-  q.feasible = true;
-  return q;
+  return quote(target_workers, /*expand=*/true);
 }
 
 void TrainingSession::execute_forced_shrink(double& event_time,
@@ -661,11 +760,7 @@ void TrainingSession::execute_forced_shrink(double& event_time,
   if (target <= 0 || !R.elastic || target >= R.active) return;
   const auto mem = builder_.layer_memory_bytes(R.states, R.map);
   const auto layer_seconds = builder_.layer_total_seconds(R.states);
-  repack::ContiguousRepackRequest req;
-  req.memory_bytes = mem;
-  req.mem_capacity = R.mem_capacity;
-  req.target_workers = target;
-  const auto rp = repack::repack_contiguous(req, target);
+  const auto rp = pack(mem, target, target);
   if (!rp.feasible) {
     // quote_shrink would have said so; an arbiter that forces anyway keeps
     // the victim at its current footprint rather than OOM it.
@@ -673,70 +768,18 @@ void TrainingSession::execute_forced_shrink(double& event_time,
                     << " workers is memory-infeasible; keeping " << R.active;
     return;
   }
-  ElasticDecision d;
-  d.action = ElasticAction::Shrink;
-  d.target_workers = target;
-  d.stall = R.elastic->restart_stall(R.map, rp.map, mem);
-  d.restart_stall_s = d.stall.total_s();
-  {
-    const auto loads = R.map.stage_loads(layer_seconds);
-    const double bottleneck =
-        loads.empty() ? 0.0 : *std::max_element(loads.begin(), loads.end());
-    d.projected_gain_s =
-        static_cast<double>(R.active - target) * bottleneck;
-  }
-  // Releases always succeed (ControlPlane contract) — a refusal here means
-  // the arbiter and the session disagree about the claim, a real bug.
-  DYNMO_CHECK(R.elastic->commit(d), "control plane refused a release");
-  if (R.trace) {
-    telemetry::ElasticTransitionRow row;
-    row.iter = R.iter;
-    row.kind = "preempt";
-    row.accepted = true;
-    row.workers_before = R.active;
-    row.workers_after = target;
-    row.stall_s = d.restart_stall_s;
-    row.alpha_s = d.stall.alpha_s;
-    row.bootstrap_s = d.stall.bootstrap_s;
-    row.ckpt_write_s = d.stall.ckpt_write_s;
-    row.ckpt_read_s = d.stall.ckpt_read_s;
-    row.projected_gain_s = d.projected_gain_s;
-    R.trace->write_elastic_transition(row);
-  }
-  // The same checkpoint-coordinated restart a voluntary shrink takes
-  // (docs/RUNTIME.md): serialize through the real binary format, re-pack
-  // onto the target count, resume from the restored state.
-  Checkpoint ckpt;
-  ckpt.iteration = R.iter;
-  ckpt.stage_map = R.map;
-  ckpt.layer_states.assign(R.states.begin(), R.states.end());
-  auto restored = Checkpoint::deserialize(ckpt.serialize());
-  R.map = rp.map;
-  R.states = std::move(restored.layer_states);
-  R.active = target;
-  event_time += d.restart_stall_s;
-  R.res.restart_stall_s += d.restart_stall_s;
-  iter_restart_stall += d.restart_stall_s;
+  ElasticDecision d = commit_release(target, rp.map, mem);
+  d.projected_gain_s = static_cast<double>(R.active - target) *
+                       bottleneck(R.map, layer_seconds);
+  emit_transition("preempt", true, d);
   ++R.res.forced_shrinks;
-  R.rebalancer.emplace(make_rebalancer(R.active));
   // Polish with a *raw* profile: a preemption fires between rebalance
   // points, and drawing measurement noise here would shift the noise
   // stream every later rebalance consumes — the determinism contract
   // (docs/RUNTIME.md) forbids that.
-  balance::LayerProfile profile;
-  profile.time_s = layer_seconds;
-  profile.memory_bytes = mem;
-  profile.params.reserve(model_->num_layers());
-  for (const auto& l : model_->layers) {
-    profile.params.push_back(static_cast<double>(l.params));
-  }
-  const auto rb = run_rebalance(profile, R.map);
-  R.map = rb.map;
-  account_outcome(rb, 1.0, R.iter, "post_restart");
-  balance::OverheadBreakdown polish = rb.overhead;
-  polish.profile_s = 0.0;
-  R.res.overhead += polish;
-  event_time += polish.total_s();
+  restart_onto(rp.map, target, d.restart_stall_s,
+               raw_profile(layer_seconds, mem), event_time,
+               iter_restart_stall);
 }
 
 void TrainingSession::execute_worker_loss(int victim, double& event_time,
@@ -769,11 +812,7 @@ void TrainingSession::execute_worker_loss(int victim, double& event_time,
     R.trace->write_fault_event(row);
   };
 
-  repack::ContiguousRepackRequest req;
-  req.memory_bytes = mem;
-  req.mem_capacity = R.mem_capacity;
-  req.target_workers = std::max(target, 1);
-  const auto rp = repack::repack_contiguous(req, std::max(target, 1));
+  const auto rp = pack(mem, std::max(target, 1), std::max(target, 1));
   if (target < 1 || !R.elastic || target < R.elastic->min_workers() ||
       !rp.feasible) {
     // Unrecoverable: the survivors cannot absorb the model (or none
@@ -789,18 +828,17 @@ void TrainingSession::execute_worker_loss(int victim, double& event_time,
     return;
   }
 
-  const RestartStall stall = R.elastic->restart_stall(R.map, rp.map, mem);
-  const double total = stall.total_s() + lost_work;
-  ElasticDecision d;
-  d.action = ElasticAction::Shrink;
-  d.target_workers = target;
-  d.stall = stall;
-  d.restart_stall_s = stall.total_s();
-  // The dead GPU leaves the job's claim: releases always succeed, and the
-  // control plane (pool) owns the repair loop from here.
-  DYNMO_CHECK(R.elastic->commit(d), "control plane refused a release");
-  emit_fault_row(target, stall, total);
+  // The dead GPU leaves the job's claim; the control plane (pool) owns the
+  // repair loop from here.
+  const ElasticDecision d = commit_release(target, rp.map, mem);
+  const double total = d.restart_stall_s + lost_work;
+  emit_fault_row(target, d.stall, total);
 
+  res.lost_work_s += lost_work;
+  ++res.worker_losses;
+  // The restart writes a fresh checkpoint as part of its stall.
+  R.last_ckpt_iter = iter;
+  R.since_ckpt_s = 0.0;
   // Recovery is the same checkpoint-coordinated restart a voluntary
   // shrink takes, except the state comes from the *last periodic
   // checkpoint* — everything since is re-done, charged as lost work on
@@ -808,39 +846,10 @@ void TrainingSession::execute_worker_loss(int victim, double& event_time,
   // The simulated clock prices the redo without rewinding the iteration
   // counter: the dynamism trajectory is deterministic, so re-running
   // [last_ckpt, iter) reproduces the states the session already holds.
-  Checkpoint ckpt;
-  ckpt.iteration = iter;
-  ckpt.stage_map = R.map;
-  ckpt.layer_states.assign(R.states.begin(), R.states.end());
-  auto restored = Checkpoint::deserialize(ckpt.serialize());
-  R.map = rp.map;
-  R.states = std::move(restored.layer_states);
-  R.active = target;
-  event_time += total;
-  res.restart_stall_s += total;
-  iter_restart_stall += total;
-  res.lost_work_s += lost_work;
-  ++res.worker_losses;
-  // The restart writes a fresh checkpoint as part of its stall.
-  R.last_ckpt_iter = iter;
-  R.since_ckpt_s = 0.0;
-  R.rebalancer.emplace(make_rebalancer(R.active));
   // Raw-profile polish, exactly like a forced shrink: a loss fires
   // between rebalance points and must not shift the noise stream.
-  balance::LayerProfile profile;
-  profile.time_s = layer_seconds;
-  profile.memory_bytes = mem;
-  profile.params.reserve(model_->num_layers());
-  for (const auto& l : model_->layers) {
-    profile.params.push_back(static_cast<double>(l.params));
-  }
-  const auto rb = run_rebalance(profile, R.map);
-  R.map = rb.map;
-  account_outcome(rb, 1.0, iter, "post_restart");
-  balance::OverheadBreakdown polish = rb.overhead;
-  polish.profile_s = 0.0;
-  res.overhead += polish;
-  event_time += polish.total_s();
+  restart_onto(rp.map, target, total, raw_profile(layer_seconds, mem),
+               event_time, iter_restart_stall);
 }
 
 void TrainingSession::refresh_capacities(std::int64_t iter) {
@@ -871,10 +880,7 @@ double TrainingSession::checkpoint_write_seconds(
   // Every worker writes its shard in parallel; the busiest gates — the
   // same rule ElasticController::restart_stall prices, at the same
   // bandwidth knob (meaningful with or without elastic.enabled).
-  const auto loads = map.stage_loads(state_bytes);
-  const double busiest =
-      loads.empty() ? 0.0 : *std::max_element(loads.begin(), loads.end());
-  return busiest / cfg_.elastic.checkpoint_bw;
+  return bottleneck(map, state_bytes) / cfg_.elastic.checkpoint_bw;
 }
 
 double TrainingSession::step() {
@@ -990,13 +996,7 @@ double TrainingSession::step() {
   }
 
   if (rebalance_point) {
-    balance::LayerProfile profile;
-    profile.time_s = layer_seconds;
-    profile.memory_bytes = mem;
-    profile.params.reserve(model_->num_layers());
-    for (const auto& l : model_->layers) {
-      profile.params.push_back(static_cast<double>(l.params));
-    }
+    balance::LayerProfile profile = raw_profile(layer_seconds, mem);
     balance::add_measurement_noise(profile, R.noise_rng);
 
     const auto outcome = run_rebalance(profile, map);
@@ -1052,15 +1052,7 @@ double TrainingSession::step() {
           if (snapped < R.active) target = snapped;
         }
       }
-      repack::ContiguousRepackRequest req;
-      req.memory_bytes = mem;
-      req.mem_capacity = R.mem_capacity;
-      req.target_workers = target;
-      // Deployment-aware packing prefers vacating whole nodes.
-      const auto rp = deployment_
-                          ? repack::repack_contiguous(req, R.active,
-                                                      *deployment_)
-                          : repack::repack_contiguous(req, R.active);
+      const auto rp = pack(mem, target, R.active);
       if (!rp.feasible && cfg_.repack_target_workers > 0) {
         res.oom = true;  // forced pack does not fit (Fig. 4 OOM cells)
       } else if (rp.feasible && rp.active_workers < R.active) {
@@ -1082,151 +1074,58 @@ double TrainingSession::step() {
         // iteration each.  A pack that cannot amortize within the window
         // is skipped (and retried at the next repack point, when the
         // model may have shrunk further).
-        bool pack_pays_off = true;
-        if (cfg_.payoff_window_iters > 0.0) {
-          const auto loads = map.stage_loads(profile.time_s);
-          const double bottleneck_s =
-              *std::max_element(loads.begin(), loads.end());
-          const double freed =
-              static_cast<double>(R.active - rp.active_workers);
-          if (freed * bottleneck_s * cfg_.payoff_window_iters <
-              migrate_s * static_cast<double>(R.active)) {
-            pack_pays_off = false;
-            ++res.maps_rejected_payoff;
-            res.migration_bytes_avoided +=
-                migration.total_bytes() * R.replica_mirror;
-            if (R.trace) {
-              telemetry::ElasticTransitionRow row;
-              row.iter = iter;
-              row.kind = "repack";
-              row.accepted = false;
-              row.workers_before = R.active;
-              row.workers_after = rp.active_workers;
-              row.stall_s = migrate_s;
-              row.projected_gain_s = freed * bottleneck_s;
-              row.migrated_bytes = migration.total_bytes();
-              R.trace->write_elastic_transition(row);
-            }
-          }
-        }
-        if (pack_pays_off) {
+        ElasticDecision t;  // the transition, priced for the trace row
+        t.target_workers = rp.active_workers;
+        t.restart_stall_s = migrate_s;
+        t.projected_gain_s =
+            static_cast<double>(R.active - rp.active_workers) *
+            bottleneck(map, profile.time_s);
+        const bool pays_off =
+            !(cfg_.payoff_window_iters > 0.0 &&
+              t.projected_gain_s * cfg_.payoff_window_iters <
+                  migrate_s * static_cast<double>(R.active));
+        emit_transition("repack", pays_off, t, migration.total_bytes());
+        if (!pays_off) {
+          ++res.maps_rejected_payoff;
+          res.migration_bytes_avoided +=
+              migration.total_bytes() * R.replica_mirror;
+        } else {
           record_migration_split(migration, 1.0);
-          if (R.trace) {
-            telemetry::ElasticTransitionRow row;
-            row.iter = iter;
-            row.kind = "repack";
-            row.accepted = true;
-            row.workers_before = R.active;
-            row.workers_after = rp.active_workers;
-            row.stall_s = migrate_s;
-            const auto loads = map.stage_loads(profile.time_s);
-            row.projected_gain_s =
-                static_cast<double>(R.active - rp.active_workers) *
-                *std::max_element(loads.begin(), loads.end());
-            row.migrated_bytes = migration.total_bytes();
-            R.trace->write_elastic_transition(row);
-            emit_migration_rows(iter, "repack", migration);
-          }
+          emit_migration_rows(iter, "repack", migration);
           event_time += migrate_s;
           res.overhead.migrate_s += migrate_s;
           map = packed;
           R.active = rp.active_workers;
           ++res.repack_count;
-          R.rebalancer.emplace(make_rebalancer(R.active));
-          // Rebalance within the survivors right away (a one-off event,
-          // accounted like any other rebalance, except profiling: the
-          // polish reuses the profile already charged above).
-          const auto rb = run_rebalance(profile, map);
-          map = rb.map;
-          account_outcome(rb, 1.0, iter, "post_pack");
-          balance::OverheadBreakdown polish = rb.overhead;
-          polish.profile_s = 0.0;
-          res.overhead += polish;
-          event_time += polish.total_s();
+          polish(profile, "post_pack", event_time);
         }
       }
     }
 
     // --- elastic lifecycle: shrink / hold / expand ---------------------
     if (R.elastic && iter > 0 && iter % cfg_.elastic.interval == 0) {
-      // The restart stall is wall-clock seconds, so the gain side of the
-      // payoff inequality must be per-*iteration* seconds: a stage
-      // processes every microbatch, while profile.time_s is the
-      // balancers' per-microbatch currency.
-      std::vector<double> iter_layer_s(profile.time_s);
-      for (double& x : iter_layer_s) {
-        x *= static_cast<double>(cfg_.num_microbatches);
-      }
-      const auto d = R.elastic->decide(map, iter_layer_s, mem,
-                                       R.mem_capacity, R.active);
-      const auto emit_elastic_row = [&](bool accepted) {
-        if (!R.trace) return;
-        telemetry::ElasticTransitionRow row;
-        row.iter = iter;
-        // A payoff-rejected decision keeps action == Hold; the wanted
-        // direction is recoverable from the target.
-        row.kind = d.action != ElasticAction::Hold
-                       ? to_string(d.action)
-                       : (d.target_workers < R.active ? "shrink" : "expand");
-        row.accepted = accepted;
-        row.workers_before = R.active;
-        row.workers_after = d.target_workers;
-        row.stall_s = d.restart_stall_s;
-        row.alpha_s = d.stall.alpha_s;
-        row.bootstrap_s = d.stall.bootstrap_s;
-        row.ckpt_write_s = d.stall.ckpt_write_s;
-        row.ckpt_read_s = d.stall.ckpt_read_s;
-        row.projected_gain_s = d.projected_gain_s;
-        R.trace->write_elastic_transition(row);
-      };
+      // The restart stall is wall-clock seconds, so the controller weighs
+      // it against per-iteration layer seconds.
+      const auto d = R.elastic->decide(
+          map, per_iteration(profile.time_s, cfg_.num_microbatches), mem,
+          R.mem_capacity, R.active);
+      // The row's kind is the target's direction: a payoff-rejected
+      // decision keeps action == Hold but still names what it wanted.
+      const char* kind = d.target_workers < R.active ? "shrink" : "expand";
       if (d.rejected_by_payoff) {
         // A transition was wanted but its restart stall does not
         // amortize within the payoff window — same ledger as rejected
         // migrations (no bytes though: restarts move none).
         ++res.maps_rejected_payoff;
-        emit_elastic_row(false);
+        emit_transition(kind, false, d);
       } else if (d.action != ElasticAction::Hold && R.elastic->commit(d)) {
-        emit_elastic_row(true);
-        // Checkpoint-coordinated restart (docs/RUNTIME.md): serialize
-        // the training state through the real binary format, re-pack
-        // the stage map onto the new worker count, and resume from the
-        // restored checkpoint.  Weights arrive via checkpoint reload,
-        // so no migration bytes are issued; the whole transition is
-        // charged as the modeled restart stall instead.
-        Checkpoint ckpt;
-        ckpt.iteration = iter;
-        ckpt.stage_map = map;
-        ckpt.layer_states.assign(states.begin(), states.end());
-        auto restored = Checkpoint::deserialize(ckpt.serialize());
-        repack::ContiguousRepackRequest rreq;
-        rreq.memory_bytes = mem;
-        rreq.mem_capacity = R.mem_capacity;
-        rreq.target_workers = d.target_workers;
-        const auto rp = repack::repack_contiguous(rreq, d.target_workers);
+        emit_transition(kind, true, d);
+        const auto rp = pack(mem, d.target_workers, d.target_workers);
         DYNMO_CHECK(rp.feasible,
                     "controller committed a memory-infeasible target");
-        map = rp.map;
-        states = std::move(restored.layer_states);
-        R.active = d.target_workers;
-        event_time += d.restart_stall_s;
-        res.restart_stall_s += d.restart_stall_s;
-        iter_restart_stall += d.restart_stall_s;
-        if (d.action == ElasticAction::Expand) {
-          ++res.expands;
-        } else {
-          ++res.shrinks;
-        }
-        // Resharding "comes for free" on reload (§3.4.2), but the pack
-        // above is memory-driven; polish with a time rebalance over the
-        // new worker count, accounted like the post-pack polish.
-        R.rebalancer.emplace(make_rebalancer(R.active));
-        const auto rb = run_rebalance(profile, map);
-        map = rb.map;
-        account_outcome(rb, 1.0, iter, "post_restart");
-        balance::OverheadBreakdown polish = rb.overhead;
-        polish.profile_s = 0.0;
-        res.overhead += polish;
-        event_time += polish.total_s();
+        ++(d.action == ElasticAction::Expand ? res.expands : res.shrinks);
+        restart_onto(rp.map, d.target_workers, d.restart_stall_s, profile,
+                     event_time, iter_restart_stall);
       }
     }
   }

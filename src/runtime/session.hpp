@@ -340,9 +340,10 @@ class TrainingSession {
   int active_workers() const;
 
   /// Queue an externally-initiated shrink to `target_workers`, executed at
-  /// the start of the next step() as the same checkpoint-coordinated
-  /// restart a voluntary shrink takes (serialize → re-pack → reshard →
-  /// stall → polish rebalance); counted in SessionResult::forced_shrinks
+  /// the start of the next step() through the session's one checkpoint-
+  /// coordinated restart — the path elastic shrink/expand and worker-loss
+  /// recovery take too (serialize → re-pack → reshard → stall → polish
+  /// rebalance, docs/RUNTIME.md); counted in SessionResult::forced_shrinks
   /// and traced as an elastic_transitions row with kind "preempt".
   /// Requires elastic.enabled; `target_workers` must respect
   /// elastic.min_workers; at or above the current footprint it is a no-op.
@@ -391,6 +392,38 @@ class TrainingSession {
   /// source, before it can leak into event_s/stall_s sums downstream.
   balance::RebalanceOutcome run_rebalance(const balance::LayerProfile& profile,
                                           const pipeline::StageMap& map);
+  /// Right after a pack or restart: rebuild the rebalancer over the new
+  /// worker count, rebalance on `profile` and adopt the result; profiling
+  /// is not re-charged.
+  void polish(const balance::LayerProfile& profile, const char* trigger,
+              double& event_time);
+  /// The checkpoint-coordinated restart every trigger shares (elastic
+  /// shrink/expand, preemption, worker loss — docs/RUNTIME.md): round-trip
+  /// the state through a serialized Checkpoint, resume on `packed` over
+  /// `workers`, charge `charged_s` of stall, then polish on
+  /// `polish_profile`.
+  void restart_onto(const pipeline::StageMap& packed, int workers,
+                    double charged_s,
+                    const balance::LayerProfile& polish_profile,
+                    double& event_time, double& iter_restart_stall);
+  /// Price and commit an involuntary release onto `packed` over `target`
+  /// workers (preemption, worker loss).
+  ElasticDecision commit_release(int target, const pipeline::StageMap& packed,
+                                 std::span<const double> mem);
+  /// Noise-free profile of the given per-layer seconds and memory.
+  balance::LayerProfile raw_profile(std::span<const double> layer_seconds,
+                                    std::span<const double> mem) const;
+  /// Contiguous re-pack of layers with memory `mem` onto `target` workers
+  /// (0 → as few as memory allows) as a map over `stages` stages: a
+  /// restart reshards onto exactly `target`, the periodic re-pack keeps
+  /// the running count with the released stages left empty.
+  repack::ContiguousRepackResult pack(std::span<const double> mem, int target,
+                                      int stages) const;
+  /// One elastic_transitions row at the current iteration and footprint.
+  void emit_transition(const char* kind, bool accepted,
+                       const ElasticDecision& d, double migrated_bytes = 0.0);
+  /// quote_shrink / quote_expand: one pricing path for both directions.
+  TransitionQuote quote(int target_workers, bool expand) const;
   /// Execute a queued request_shrink() (no-op without one); stall and
   /// polish overhead are charged into the current step's accumulators.
   void execute_forced_shrink(double& event_time, double& iter_restart_stall);

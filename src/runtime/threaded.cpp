@@ -376,6 +376,66 @@ ThreadedReport ThreadedPipeline::run(const std::vector<PlanPhase>& phases) {
 
     int world_active = cfg.workers;  // rank 0's view, for trace rows
 
+    // Checkpoint assembly, shared by the recovery cut and the elastic
+    // restart: every live rank ships the layers it owns to rank 0 (an
+    // empty set for non-owners), which assembles the Checkpoint under map
+    // `m` and pushes it through the real binary format.  Returns the blob
+    // on rank 0, nothing elsewhere.  recv_msg keeps rank 0's receives
+    // abortable in fault mode, where dead ranks contribute nothing.
+    const auto gather_checkpoint = [&](const pipeline::StageMap& m) {
+      const comm::Tag gtag = gather_tag(epoch);
+      {
+        comm::Packer p;
+        p.put<std::uint64_t>(weights.size());
+        for (const auto& [l, w] : weights) {
+          p.put<std::uint64_t>(l);
+          p.put<std::uint64_t>(w.rows());
+          p.put<std::uint64_t>(w.cols());
+          p.put_span(w.data());
+        }
+        wcomm.send(0, gtag, p.take());
+      }
+      std::vector<std::byte> blob;
+      if (rank != 0) return blob;
+      Checkpoint ckpt;
+      ckpt.iteration = global_it;
+      ckpt.stage_map = m;
+      for (int r = 0; r < wcomm.size(); ++r) {
+        if (!alive[static_cast<std::size_t>(r)]) continue;
+        const comm::Message msg = recv_msg(r, gtag);
+        comm::Unpacker u(msg.payload);
+        const auto n = u.get<std::uint64_t>();
+        for (std::uint64_t i = 0; i < n; ++i) {
+          const auto l = u.get<std::uint64_t>();
+          const auto rows = u.get<std::uint64_t>();
+          const auto cols = u.get<std::uint64_t>();
+          const auto data = u.get_vector<float>();
+          tensor::Tensor t(rows, cols);
+          std::copy(data.begin(), data.end(), t.data().begin());
+          ckpt.weights.emplace(l, std::move(t));
+        }
+      }
+      DYNMO_CHECK(ckpt.weights.size() == cfg.num_layers,
+                  "checkpoint covers " << ckpt.weights.size() << " of "
+                                       << cfg.num_layers << " layers");
+      blob = ckpt.serialize();
+      stats.bytes_checkpoint += blob.size();
+      return blob;
+    };
+    // Reload: drop every held layer, then take this rank's shard of `ckpt`
+    // under map `m` if it `owns` one ("the model is reloaded and resharded
+    // among the workers during checkpoint recovery").
+    const auto reload = [&](const Checkpoint& ckpt, const pipeline::StageMap& m,
+                            bool owns) {
+      weights.clear();
+      if (!owns) return;
+      for (std::size_t l = m.stage_begin(rank); l < m.stage_end(rank); ++l) {
+        const auto it = ckpt.weights.find(l);
+        DYNMO_CHECK(it != ckpt.weights.end(), "checkpoint misses layer " << l);
+        weights.emplace(l, it->second);
+      }
+    };
+
     // Recovery rendezvous: every world rank — survivors, the fresh
     // victim, and earlier zombies — broadcasts the stored checkpoint from
     // rank 0, reloads it under the surviving-prefix map, rolls the
@@ -401,16 +461,7 @@ ThreadedReport ThreadedPipeline::run(const std::vector<PlanPhase>& phases) {
           fs->victim_iter.load(std::memory_order_acquire);
       global_it = ckpt.iteration;
       override_map = recovery_map_for(cfg.num_layers, cfg.workers, alive);
-      weights.clear();
-      if (!i_am_dead) {
-        for (std::size_t l = override_map->stage_begin(rank);
-             l < override_map->stage_end(rank); ++l) {
-          const auto it = ckpt.weights.find(l);
-          DYNMO_CHECK(it != ckpt.weights.end(),
-                      "recovery checkpoint misses layer " << l);
-          weights.emplace(l, it->second);
-        }
-      }
+      reload(ckpt, *override_map, !i_am_dead);
       std::erase_if(outputs, [&](const auto& kv) {
         return kv.first.first >= global_it;
       });
@@ -445,51 +496,14 @@ ThreadedReport ThreadedPipeline::run(const std::vector<PlanPhase>& phases) {
       }
     };
 
-    // Cut an in-memory recovery checkpoint: every surviving rank ships
-    // its layers to rank 0, which assembles, serializes, and stores the
-    // blob for the next rollback.  Rank 0's receives are abortable — a
-    // victim that died instead of contributing is detected by the
-    // monitor, the cut is abandoned, and the boundary is re-cut by the
-    // survivors after recovery.
+    // Cut an in-memory recovery checkpoint for the next rollback.  A
+    // victim that died instead of contributing is detected by the monitor,
+    // the cut is abandoned, and the boundary is re-cut by the survivors
+    // after recovery.
     const auto cut_checkpoint = [&](const pipeline::StageMap& m) {
       fs->set_monitored(rank, false);
-      const comm::Tag gtag = gather_tag(epoch);
-      {
-        comm::Packer p;
-        p.put<std::uint64_t>(weights.size());
-        for (const auto& [l, w] : weights) {
-          p.put<std::uint64_t>(l);
-          p.put<std::uint64_t>(w.rows());
-          p.put<std::uint64_t>(w.cols());
-          p.put_span(w.data());
-        }
-        wcomm.send(0, gtag, p.take());
-      }
+      std::vector<std::byte> blob = gather_checkpoint(m);
       if (rank == 0) {
-        Checkpoint ckpt;
-        ckpt.iteration = global_it;
-        ckpt.stage_map = m;
-        for (int r = 0; r < wcomm.size(); ++r) {
-          if (!alive[static_cast<std::size_t>(r)]) continue;
-          const comm::Message msg = recv_msg(r, gtag);
-          comm::Unpacker u(msg.payload);
-          const auto n = u.get<std::uint64_t>();
-          for (std::uint64_t i = 0; i < n; ++i) {
-            const auto l = u.get<std::uint64_t>();
-            const auto rows = u.get<std::uint64_t>();
-            const auto cols = u.get<std::uint64_t>();
-            const auto data = u.get_vector<float>();
-            tensor::Tensor t(rows, cols);
-            std::copy(data.begin(), data.end(), t.data().begin());
-            ckpt.weights.emplace(l, std::move(t));
-          }
-        }
-        DYNMO_CHECK(ckpt.weights.size() == cfg.num_layers,
-                    "recovery checkpoint covers "
-                        << ckpt.weights.size() << " of " << cfg.num_layers
-                        << " layers");
-        std::vector<std::byte> blob = ckpt.serialize();
-        stats.bytes_checkpoint += blob.size();
         std::scoped_lock lk(fs->mu);
         fs->ckpt_blob = std::move(blob);
         fs->ckpt_iter = global_it;
@@ -545,65 +559,17 @@ ThreadedReport ThreadedPipeline::run(const std::vector<PlanPhase>& phases) {
       if (phase.restart_active) {
         const auto& act = *phase.restart_active;
         const auto restart_t0 = std::chrono::steady_clock::now();
-        // 1a. Every rank — released ones included — ships the layers it
-        // owns to rank 0 (an empty set for non-owners), which assembles
-        // the Checkpoint and pushes it through the real binary format.
-        {
-          comm::Packer p;
-          p.put<std::uint64_t>(weights.size());
-          for (const auto& [l, w] : weights) {
-            p.put<std::uint64_t>(l);
-            p.put<std::uint64_t>(w.rows());
-            p.put<std::uint64_t>(w.cols());
-            p.put_span(w.data());
-          }
-          wcomm.send(0, gather_tag(epoch), p.take());
-        }
-        std::vector<std::byte> blob;
-        if (rank == 0) {
-          Checkpoint ckpt;
-          ckpt.iteration = global_it;
-          ckpt.stage_map = map;
-          for (int r = 0; r < wcomm.size(); ++r) {
-            const comm::Message m = wcomm.recv(r, gather_tag(epoch));
-            comm::Unpacker u(m.payload);
-            const auto n = u.get<std::uint64_t>();
-            for (std::uint64_t i = 0; i < n; ++i) {
-              const auto l = u.get<std::uint64_t>();
-              const auto rows = u.get<std::uint64_t>();
-              const auto cols = u.get<std::uint64_t>();
-              const auto data = u.get_vector<float>();
-              tensor::Tensor t(rows, cols);
-              std::copy(data.begin(), data.end(), t.data().begin());
-              ckpt.weights.emplace(l, std::move(t));
-            }
-          }
-          DYNMO_CHECK(ckpt.weights.size() == cfg.num_layers,
-                      "restart checkpoint covers " << ckpt.weights.size()
-                                                   << " of "
-                                                   << cfg.num_layers
-                                                   << " layers");
-          blob = ckpt.serialize();
-          stats.bytes_checkpoint += blob.size();
-          ++stats.restarts;
-        }
+        // 1a. Every rank — released ones included — ships its layers to
+        // rank 0, which assembles and serializes the Checkpoint.
+        std::vector<std::byte> blob = gather_checkpoint(map);
+        if (rank == 0) ++stats.restarts;
         // 1b. Broadcast the serialized checkpoint; every rank reloads the
-        // layers the new map assigns it ("the model is reloaded and
-        // resharded among the workers during checkpoint recovery").
+        // layers the new map assigns it.
         blob = wcomm.broadcast(std::move(blob), 0);
         const Checkpoint ckpt = Checkpoint::deserialize(blob);
         global_it = ckpt.iteration;  // re-joining ranks sync the stream
-        weights.clear();
         active_now = act[static_cast<std::size_t>(rank)];
-        if (active_now) {
-          for (std::size_t l = map.stage_begin(rank);
-               l < map.stage_end(rank); ++l) {
-            const auto it = ckpt.weights.find(l);
-            DYNMO_CHECK(it != ckpt.weights.end(),
-                        "checkpoint misses layer " << l);
-            weights.emplace(l, it->second);
-          }
-        }
+        reload(ckpt, map, active_now);
         // 1c. The restart creates the collective communicator anew over
         // the whole world — exactly the fresh-NCCL-communicator step.
         coll = wcomm.split(active_now ? 0 : -1, rank);

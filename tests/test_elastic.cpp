@@ -478,5 +478,108 @@ TEST(SessionElastic, ForcedShrinkTakesTheCheckpointPathDeterministically) {
   std::filesystem::remove_all(base);
 }
 
+/// An 8-worker elastic session whose payoff window is too tight for any
+/// voluntary transition: every footprint change is a forced one.
+runtime::SessionConfig quote_session_config(repack::ControlPlane* eck) {
+  auto cfg = spike_session_config();
+  cfg.iterations = 1000;
+  cfg.elastic.enabled = true;
+  cfg.elastic.interval = 500;
+  cfg.elastic.min_workers = 2;
+  cfg.elastic.payoff_window_iters = 1e-3;
+  cfg.elastic.restart_alpha_s = 0.5;
+  cfg.elastic.checkpoint_bw = 16.0 * 1024 * 1024 * 1024;
+  cfg.elastic.cluster = eck;
+  return cfg;
+}
+
+// The fleet arbiter prices a preemption with quote_shrink before forcing
+// it, so the quote must be exactly the stall the forced shrink charges —
+// in the trace's "preempt" row and in SessionResult::restart_stall_s.
+TEST(SessionElastic, ShrinkQuoteIsTheStallTheForcedShrinkCharges) {
+  const auto m = spike_model();
+  const auto dir =
+      (std::filesystem::path(testing::TempDir()) / "quote_trace").string();
+  std::filesystem::remove_all(dir);
+
+  const auto run_once = [&m](bool preempt, const std::string& trace_dir,
+                             runtime::TransitionQuote* quote) {
+    repack::MockEckCluster eck(8);
+    auto cfg = quote_session_config(&eck);
+    cfg.telemetry.dir = trace_dir;
+    runtime::TrainingSession session(m, cfg, nullptr);
+    session.start();
+    for (int i = 0; i < 10; ++i) (void)session.step();
+    if (preempt) {
+      *quote = session.quote_shrink(5);
+      session.request_shrink(5);  // executes on the state just quoted
+    }
+    while (!session.done()) (void)session.step();
+    return session.finish();
+  };
+  runtime::TransitionQuote q;
+  const auto forced = run_once(true, dir, &q);
+  const auto twin = run_once(false, "", nullptr);
+
+  ASSERT_TRUE(q.feasible);
+  EXPECT_EQ(q.workers_before, 8);
+  EXPECT_EQ(q.workers_after, 5);
+  EXPECT_GT(q.restart_stall_s, 0.0);
+  EXPECT_GT(q.iter_s_before, 0.0);
+  EXPECT_GT(q.iter_s_after, 0.0);
+  EXPECT_EQ(forced.forced_shrinks, 1);
+  EXPECT_DOUBLE_EQ(forced.restart_stall_s - twin.restart_stall_s,
+                   q.restart_stall_s);
+
+  telemetry::TraceReader reader(dir);
+  int preempts = 0;
+  for (const auto& row : reader.elastic_transitions()) {
+    if (row.kind != "preempt") continue;
+    ++preempts;
+    EXPECT_DOUBLE_EQ(row.stall_s, q.restart_stall_s);
+    EXPECT_EQ(row.workers_before, q.workers_before);
+    EXPECT_EQ(row.workers_after, q.workers_after);
+  }
+  EXPECT_EQ(preempts, 1);
+  std::filesystem::remove_all(dir);
+}
+
+TEST(SessionElastic, OutOfRangeQuotesAreInfeasibleButPriceTodaysMap) {
+  const auto m = spike_model();
+  repack::MockEckCluster eck(8);
+  runtime::TrainingSession session(m, quote_session_config(&eck), nullptr);
+  EXPECT_THROW((void)session.quote_shrink(4), Error);  // not started
+  session.start();
+  for (int i = 0; i < 10; ++i) (void)session.step();
+
+  const double today = session.quote_shrink(5).iter_s_before;
+  EXPECT_GT(today, 0.0);
+  const auto expect_out_of_range = [&](const runtime::TransitionQuote& q,
+                                       int target) {
+    EXPECT_FALSE(q.feasible);
+    EXPECT_EQ(q.workers_before, 8);
+    EXPECT_EQ(q.workers_after, target);
+    EXPECT_DOUBLE_EQ(q.iter_s_before, today);
+    EXPECT_DOUBLE_EQ(q.restart_stall_s, 0.0);
+    EXPECT_DOUBLE_EQ(q.iter_s_after, 0.0);
+  };
+  expect_out_of_range(session.quote_shrink(1), 1);  // below min_workers
+  expect_out_of_range(session.quote_shrink(8), 8);  // not a shrink
+  expect_out_of_range(session.quote_expand(8), 8);  // not an expand
+  expect_out_of_range(session.quote_expand(9), 9);  // past the ceiling
+
+  // Quotes are const previews: repeated ones agree, nothing moved.
+  EXPECT_DOUBLE_EQ(session.quote_shrink(5).restart_stall_s,
+                   session.quote_shrink(5).restart_stall_s);
+  EXPECT_EQ(session.active_workers(), 8);
+  EXPECT_EQ(eck.free_gpus(), 0);
+
+  // After a forced shrink the expand side is in range again.
+  session.request_shrink(5);
+  (void)session.step();
+  EXPECT_TRUE(session.quote_expand(8).feasible);
+  EXPECT_FALSE(session.quote_expand(9).feasible);
+}
+
 }  // namespace
 }  // namespace dynmo

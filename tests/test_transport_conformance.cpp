@@ -8,9 +8,13 @@
 // fault-recovery machinery.  A new backend earns its place by being added
 // to the INSTANTIATE list below and changing nothing else.
 #include <gtest/gtest.h>
+#include <sys/stat.h>
+#include <unistd.h>
 
 #include <atomic>
+#include <filesystem>
 #include <numeric>
+#include <set>
 #include <thread>
 
 #include "comm/communicator.hpp"
@@ -333,6 +337,68 @@ TEST(TransportParity, ThreadedRuntimeChecksumsMatchAcrossBackends) {
   EXPECT_EQ(inproc.weight_checksums, socket.weight_checksums);
   EXPECT_EQ(inproc.bytes_migrated, socket.bytes_migrated);
   EXPECT_NE(socket.output_checksum, 0u);
+}
+
+// ------------------------------------------------- socket wire hardening ----
+
+/// Every socket descriptor currently open in this process.
+std::set<int> open_sockets() {
+  std::set<int> fds;
+  for (const auto& e : std::filesystem::directory_iterator("/proc/self/fd")) {
+    const int fd = std::stoi(e.path().filename().string());
+    struct stat st {};
+    if (::fstat(fd, &st) == 0 && S_ISSOCK(st.st_mode)) fds.insert(fd);
+  }
+  return fds;
+}
+
+// A frame header that is corrupt — oversized length, a source outside the
+// world, a negative context, a bad magic — must never reach the payload
+// allocation: the reader fail-stops and closes the endpoint, so a blocked
+// receiver gets CommError instead of hanging or the process aborting.
+TEST(SocketFrames, CorruptHeaderClosesTheEndpointWithCommError) {
+  struct Header {  // the 24-byte wire header (docs/TRANSPORT.md)
+    std::uint32_t magic;
+    std::int32_t source;
+    std::int32_t context;
+    std::int32_t tag;
+    std::uint64_t payload_len;
+  };
+  static_assert(sizeof(Header) == 24);
+  constexpr std::uint32_t kMagic = 0x4D4E5944;  // "DYNM"
+  const struct {
+    const char* what;
+    Header h;
+  } cases[] = {
+      {"oversized payload", {kMagic, 0, 0, 5, ~std::uint64_t{0}}},
+      {"source outside the world", {kMagic, 1, 0, 5, 0}},
+      {"negative source", {kMagic, -2, 0, 5, 0}},
+      {"negative context", {kMagic, 0, -1, 5, 0}},
+      {"bad magic", {0xdeadbeef, 0, 0, 5, 0}},
+  };
+  for (const auto& c : cases) {
+    SCOPED_TRACE(c.what);
+    const std::set<int> before = open_sockets();
+    World world(1, TransportKind::Socket);
+    std::vector<int> fresh;
+    for (const int fd : open_sockets()) {
+      if (!before.contains(fd)) fresh.push_back(fd);
+    }
+    // One rank → one socketpair: its receive end (drained by the reader
+    // thread) and its send end.  Writing into both puts the frame in front
+    // of the reader whichever descriptor is which.
+    ASSERT_EQ(fresh.size(), 2u);
+    Communicator comm = world.world_comm(0);
+    std::thread receiver([&comm] { EXPECT_THROW(comm.recv(0, 5), CommError); });
+    for (const int fd : fresh) {
+      ASSERT_EQ(::write(fd, &c.h, sizeof c.h),
+                static_cast<ssize_t>(sizeof c.h));
+    }
+    receiver.join();
+    // The endpoint stays closed: later receives fail fast and sends drop.
+    EXPECT_THROW(comm.recv(0, 5), CommError);
+    comm.send_value(0, 5, 1);
+  }
 }
 
 INSTANTIATE_TEST_SUITE_P(Backends, TransportConformance,
