@@ -80,7 +80,7 @@ int main(int argc, char** argv) {
   const auto base_cfg = reader.replay_config();
   const auto base = balance::replay(loads, base_cfg, net);
 
-  const auto iterations = reader.iterations();
+  const auto iterations = reader.read<telemetry::IterationRow>();
   int mismatches = 0;
   for (std::size_t i = 0; i < iterations.size(); ++i) {
     if (iterations[i].bottleneck_s != base.bottleneck_s[i]) ++mismatches;

@@ -3,9 +3,7 @@
 #include <algorithm>
 #include <limits>
 #include <map>
-#include <mutex>
 #include <numeric>
-#include <optional>
 #include <sstream>
 #include <utility>
 
@@ -29,25 +27,12 @@ void check_grid_ranks(const Topology& topo, std::span<const int> grid) {
 
 }  // namespace
 
-/// Memoization state for the const lookups.  The topology and placement
-/// are immutable, so entries never invalidate; the mutex keeps the cache
-/// safe when a deployment is shared across runtime threads.
-struct Deployment::Caches {
-  std::mutex mu;
-  std::map<std::pair<int, int>, comm::LinkParams> link;
-  std::map<std::vector<int>, comm::RankGroup> group;
-  std::optional<std::vector<double>> stage_caps;
-  std::uint64_t lookups = 0;
-  std::uint64_t resolver_calls = 0;
-};
-
 Deployment::Deployment(std::shared_ptr<const Topology> topo, int data_parallel,
                        std::vector<int> grid_to_rank)
     : topo_(std::move(topo)),
       dp_(data_parallel),
       pp_(static_cast<int>(grid_to_rank.size()) / data_parallel),
-      grid_(std::move(grid_to_rank)),
-      caches_(std::make_shared<Caches>()) {}
+      grid_(std::move(grid_to_rank)) {}
 
 Deployment Deployment::make(Topology topo, std::vector<int> stage_to_rank) {
   return make_grid(std::move(topo), 1, std::move(stage_to_rank));
@@ -142,8 +127,7 @@ const hw::GpuSpec& Deployment::gpu(int dp, int stage) const {
 
 int Deployment::node(int stage) const { return topo_->node_of(rank(stage)); }
 
-comm::LinkParams Deployment::link_full_rescan(int stage_a,
-                                              int stage_b) const {
+comm::LinkParams Deployment::link(int stage_a, int stage_b) const {
   const int a = rank(stage_a);
   const int b = rank(stage_b);
   if (a == b) return {0.0, std::numeric_limits<double>::infinity()};
@@ -154,36 +138,7 @@ comm::LinkParams Deployment::link_full_rescan(int stage_a,
   return {p.latency_s, p.bandwidth_bytes_s};
 }
 
-comm::LinkParams Deployment::link(int stage_a, int stage_b) const {
-  auto& c = *caches_;
-  std::lock_guard<std::mutex> lk(c.mu);
-  ++c.lookups;
-  const auto key = std::make_pair(stage_a, stage_b);
-  if (const auto it = c.link.find(key); it != c.link.end()) {
-    return it->second;
-  }
-  ++c.resolver_calls;
-  const comm::LinkParams lp = link_full_rescan(stage_a, stage_b);
-  c.link.emplace(key, lp);
-  return lp;
-}
-
 comm::RankGroup Deployment::group(std::span<const int> ranks) const {
-  auto& c = *caches_;
-  std::lock_guard<std::mutex> lk(c.mu);
-  ++c.lookups;
-  std::vector<int> key(ranks.begin(), ranks.end());
-  if (const auto it = c.group.find(key); it != c.group.end()) {
-    return it->second;
-  }
-  ++c.resolver_calls;
-  const comm::RankGroup g = group_full_rescan(ranks);
-  c.group.emplace(std::move(key), g);
-  return g;
-}
-
-comm::RankGroup Deployment::group_full_rescan(
-    std::span<const int> ranks) const {
   comm::RankGroup g;
   g.intra = default_link(LinkType::NvLink).params();
   g.inter = default_link(LinkType::InfiniBand).params();
@@ -229,23 +184,6 @@ comm::RankGroup Deployment::dp_group(int stage) const {
 }
 
 std::vector<double> Deployment::stage_capacities() const {
-  auto& c = *caches_;
-  std::lock_guard<std::mutex> lk(c.mu);
-  ++c.lookups;
-  if (!c.stage_caps) {
-    ++c.resolver_calls;
-    c.stage_caps = stage_capacities_full_rescan();
-  }
-  return *c.stage_caps;
-}
-
-Deployment::CacheStats Deployment::cache_stats() const {
-  auto& c = *caches_;
-  std::lock_guard<std::mutex> lk(c.mu);
-  return CacheStats{c.lookups, c.resolver_calls};
-}
-
-std::vector<double> Deployment::stage_capacities_full_rescan() const {
   const auto s2r = stage_to_rank();
   std::vector<double> cap(s2r.size(), 1.0);
   double max_speed = 0.0;

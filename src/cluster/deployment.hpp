@@ -34,9 +34,7 @@
 #pragma once
 
 #include <cstddef>
-#include <cstdint>
 #include <memory>
-#include <optional>
 #include <span>
 #include <string>
 #include <vector>
@@ -105,24 +103,13 @@ class Deployment {
   int node(int stage) const;
   /// Effective link between two stages' hosting ranks (shortest path over
   /// the topology; a stage to itself is free).  dp = 0 view.
-  ///
-  /// Memoized behind a const cache shared by all copies of this
-  /// deployment: the topology is immutable, so the first lookup runs the
-  /// shortest-path resolver and every repeat returns the stored value —
-  /// O(1) instead of a Dijkstra per call.  Thread-safe (mutex-guarded).
   comm::LinkParams link(int stage_a, int stage_b) const;
-  /// Reference twin of link(): always re-derives the shortest path, kept
-  /// alive under test to prove cached lookups return identical objects.
-  comm::LinkParams link_full_rescan(int stage_a, int stage_b) const;
 
   /// Node-grouped membership of a set of global ranks, with intra/inter
   /// links taken from the topology (worst member intra link, worst
   /// leader-pair effective link) — ready for the hierarchical collective
-  /// formulas of comm::CostModel.  Memoized per rank set (the derivation
-  /// runs a shortest path per node pair; repeats are O(log) map hits).
+  /// formulas of comm::CostModel.
   comm::RankGroup group(std::span<const int> ranks) const;
-  /// Reference twin of group(): always re-derives the membership.
-  comm::RankGroup group_full_rescan(std::span<const int> ranks) const;
   /// group() over the dp = 0 replica's stage-hosting ranks.
   comm::RankGroup stage_group() const;
   /// group() over a stage's DP peers {rank(0, s), ..., rank(dp-1, s)} —
@@ -134,10 +121,8 @@ class Deployment {
 
   /// Relative per-stage compute throughput (dp = 0 view), normalized so
   /// the fastest stage is 1.0 — the capacity weights heterogeneous
-  /// balancing uses.  Memoized: derived once, copied out thereafter.
+  /// balancing uses.
   std::vector<double> stage_capacities() const;
-  /// Reference twin of stage_capacities(): always re-derives.
-  std::vector<double> stage_capacities_full_rescan() const;
   /// Smallest device memory across the whole grid — the conservative
   /// per-worker cap re-packing and balancing enforce.
   double min_mem_capacity() const;
@@ -148,22 +133,9 @@ class Deployment {
   /// topology node membership (see Topology::make_cost_model).
   comm::CostModel make_cost_model(comm::CostModelConfig base = {}) const;
 
-  /// Test hook for the memoized link/group/stage-capacity lookups:
-  /// `lookups` counts cached-query calls, `resolver_calls` counts the
-  /// cache misses that actually re-derived (ran shortest paths / grouped
-  /// nodes).  A regression test holds resolver_calls flat across repeated
-  /// identical lookups.
-  struct CacheStats {
-    std::uint64_t lookups = 0;
-    std::uint64_t resolver_calls = 0;
-  };
-  CacheStats cache_stats() const;
-
   std::string to_string() const;
 
  private:
-  struct Caches;
-
   Deployment(std::shared_ptr<const Topology> topo, int data_parallel,
              std::vector<int> grid_to_rank);
 
@@ -171,10 +143,6 @@ class Deployment {
   int dp_ = 1;
   int pp_ = 0;
   std::vector<int> grid_;  ///< (d, s) → rank at [d * pp_ + s]
-  /// Const cache behind the memoized lookups; shared by copies (they
-  /// answer over the same immutable topology + placement).  prefix() and
-  /// replica() views get a fresh cache — their placements differ.
-  std::shared_ptr<Caches> caches_;
 };
 
 }  // namespace dynmo::cluster

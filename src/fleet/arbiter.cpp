@@ -103,7 +103,7 @@ void Arbiter::emit(const telemetry::FleetDecisionRow& row) {
   if (row.kind == "release") ++result_.releases;
   if (row.kind == "preempt" && row.accepted) ++result_.preemptions;
   result_.decisions.push_back(row);
-  if (trace_) trace_->write_fleet_decision(row);
+  if (trace_) trace_->write(row);
 }
 
 void Arbiter::try_admit(int idx, bool record_defer) {

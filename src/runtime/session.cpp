@@ -331,7 +331,7 @@ void TrainingSession::emit_migration_rows(std::int64_t iter,
     row.from_stage = t.src_stage;
     row.to_stage = t.dst_stage;
     row.bytes = t.bytes;
-    trace->write_migration(row);
+    trace->write(row);
   }
 }
 
@@ -391,7 +391,7 @@ void TrainingSession::account_outcome(const balance::RebalanceOutcome& outcome,
     row.imbalance_after = outcome.imbalance_after;
     // Already zeroed by run_rebalance() under telemetry.deterministic.
     row.decide_s = outcome.overhead.decide_s;
-    R.trace->write_rebalance_decision(row);
+    R.trace->write(row);
     emit_migration_rows(iter, trigger, outcome.migration);
   }
 }
@@ -466,7 +466,7 @@ void TrainingSession::emit_transition(const char* kind, bool accepted,
   row.ckpt_read_s = d.stall.ckpt_read_s;
   row.projected_gain_s = d.projected_gain_s;
   row.migrated_bytes = migrated_bytes;
-  R.trace->write_elastic_transition(row);
+  R.trace->write(row);
 }
 
 ElasticDecision TrainingSession::commit_release(
@@ -809,7 +809,7 @@ void TrainingSession::execute_worker_loss(int victim, double& event_time,
     row.ckpt_read_s = st.ckpt_read_s;
     row.lost_work_s = lost_work;
     row.lost_iters = lost_iters;
-    R.trace->write_fault_event(row);
+    R.trace->write(row);
   };
 
   const auto rp = pack(mem, std::max(target, 1), std::max(target, 1));
@@ -928,7 +928,7 @@ double TrainingSession::step() {
           row.multiplier = e.multiplier;
           row.workers_before = R.active;
           row.workers_after = R.active;
-          R.trace->write_fault_event(row);
+          R.trace->write(row);
         }
       }
     }
@@ -1233,7 +1233,7 @@ double TrainingSession::step() {
         row.layer_mem.assign(mem.begin() + row.layer_begin,
                              mem.begin() + row.layer_end);
       }
-      R.trace->write_stage_load(row);
+      R.trace->write(row);
     }
     telemetry::IterationRow irow;
     irow.iter = iter;
@@ -1246,7 +1246,7 @@ double TrainingSession::step() {
     irow.compute_fraction = sample.compute_fraction;
     irow.rebalanced = rebalance_point;
     irow.stall_s = iter_restart_stall;
-    R.trace->write_iteration(irow);
+    R.trace->write(irow);
   }
 
   R.iter += cfg_.sim_stride;

@@ -489,7 +489,7 @@ ThreadedReport ThreadedPipeline::run(const std::vector<PlanPhase>& phases) {
                                   std::chrono::steady_clock::now() - t0)
                                   .count();
           row.lost_iters = victim_at > global_it ? victim_at - global_it : 0;
-          trace->write_fault_event(row);
+          trace->write(row);
         }
         world_active = before - 1;
         fs->recovery_requested.store(false, std::memory_order_release);
@@ -590,7 +590,7 @@ ThreadedReport ThreadedPipeline::run(const std::vector<PlanPhase>& phases) {
                                   std::chrono::steady_clock::now() -
                                   restart_t0)
                                   .count();
-          trace->write_elastic_transition(row);
+          trace->write(row);
           world_active = after;
         }
       } else if (pi > 0 && active_now && !override_map) {
@@ -615,7 +615,7 @@ ThreadedReport ThreadedPipeline::run(const std::vector<PlanPhase>& phases) {
               mrow.from_stage = src;
               mrow.to_stage = dst;
               mrow.bytes = static_cast<double>(it->second.bytes());
-              trace->write_migration(mrow);
+              trace->write(mrow);
             }
             weights.erase(it);
             stats.busy_s += std::chrono::duration<double>(
@@ -653,7 +653,7 @@ ThreadedReport ThreadedPipeline::run(const std::vector<PlanPhase>& phases) {
             row.accepted = true;
             row.workers_before = world_active;
             row.workers_after = after;
-            trace->write_elastic_transition(row);
+            trace->write(row);
             world_active = after;
           }
         } else {
@@ -733,7 +733,7 @@ ThreadedReport ThreadedPipeline::run(const std::vector<PlanPhase>& phases) {
                 row.multiplier = e.multiplier;
                 row.workers_before = row.workers_after =
                     world_active_count();
-                trace->write_fault_event(row);
+                trace->write(row);
               }
             }
             slow_mult =
@@ -834,7 +834,7 @@ ThreadedReport ThreadedPipeline::run(const std::vector<PlanPhase>& phases) {
                                    std::chrono::steady_clock::now() - iter_t0)
                                    .count();
             row.active_workers = world_active;
-            trace->write_iteration(row);
+            trace->write(row);
           }
           ++global_it;
         } catch (const RecoveryInterrupt&) {

@@ -93,8 +93,13 @@ class Parser {
     skip_ws();
     const char c = peek();
     switch (c) {
-      case '{': return parse_object();
-      case '[': return parse_array();
+      case '{':
+      case '[': {
+        if (++depth_ > kMaxJsonDepth) fail("nesting too deep");
+        JsonValue v = c == '{' ? parse_object() : parse_array();
+        --depth_;
+        return v;
+      }
       case '"': return parse_string();
       case 't':
       case 'f':
@@ -263,6 +268,7 @@ class Parser {
 
   std::string_view text_;
   std::size_t pos_ = 0;
+  int depth_ = 0;  ///< open arrays/objects (a throw abandons the parser)
 };
 
 }  // namespace

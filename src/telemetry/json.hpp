@@ -22,6 +22,11 @@ std::string format_double(double v);
 /// Append `s` as a quoted, escaped JSON string.
 void append_json_string(std::string& out, std::string_view s);
 
+/// Deepest array/object nesting JsonValue::parse accepts.  The trace
+/// format nests at most 5 levels (catalog → tables → table → columns →
+/// column); the cap keeps a corrupt file from exhausting the stack.
+inline constexpr int kMaxJsonDepth = 64;
+
 /// Parsed JSON value.  Numbers remember whether the source text was
 /// integral so int64 columns round-trip without a double cast.
 class JsonValue {
@@ -39,7 +44,8 @@ class JsonValue {
   std::vector<std::pair<std::string, JsonValue>> object;
 
   /// Parse a complete document; throws dynmo::Error on malformed input
-  /// (with byte offset) or trailing garbage.
+  /// (with byte offset), nesting deeper than kMaxJsonDepth, or trailing
+  /// garbage.
   static JsonValue parse(std::string_view text);
 
   /// Object member lookup; nullptr when absent or not an object.

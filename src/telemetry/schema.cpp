@@ -1,7 +1,5 @@
 #include "telemetry/schema.hpp"
 
-#include <array>
-
 #include "core/error.hpp"
 
 namespace dynmo::telemetry {
@@ -19,206 +17,23 @@ const char* to_string(ColumnType t) {
 
 namespace {
 
-constexpr std::array kIterationColumns = {
-    ColumnSpec{"iter", ColumnType::Int64, "iteration",
-               "simulated iteration index (steps by sim_stride)"},
-    ColumnSpec{"time_s", ColumnType::Float64, "s",
-               "one iteration's pipeline makespan plus exposed DP time"},
-    ColumnSpec{"event_s", ColumnType::Float64, "s",
-               "one-off event time charged at this point (rebalance "
-               "overheads, migrations, restart stalls)"},
-    ColumnSpec{"bottleneck_s", ColumnType::Float64, "s",
-               "max over stages of the per-layer fwd+bwd seconds hosted — "
-               "the quantity replay reproduces bit-for-bit"},
-    ColumnSpec{"idleness", ColumnType::Float64, "1",
-               "average worker idleness of the pipeline timeline"},
-    ColumnSpec{"bubble_ratio", ColumnType::Float64, "1",
-               "pipeline bubble fraction"},
-    ColumnSpec{"active_workers", ColumnType::Int64, "workers",
-               "workers hosting at least the possibility of layers (post "
-               "re-pack/elastic)"},
-    ColumnSpec{"compute_fraction", ColumnType::Float64, "1",
-               "dynamism engine's remaining-compute estimate"},
-    ColumnSpec{"rebalanced", ColumnType::Bool, "1",
-               "a rebalance point fired at this iteration"},
-    ColumnSpec{"stall_s", ColumnType::Float64, "s",
-               "restart stall charged at this iteration (elastic "
-               "transitions; 0 otherwise)"},
-};
+/// The catalog view of a table's column list.
+template <typename Row>
+constexpr auto kColumnSpecs = [] {
+  constexpr auto& columns = TableOf<Row>::columns;
+  std::array<ColumnSpec, columns.size()> specs{};
+  for (std::size_t i = 0; i < columns.size(); ++i) specs[i] = columns[i].spec;
+  return specs;
+}();
 
-constexpr std::array kStageLoadColumns = {
-    ColumnSpec{"iter", ColumnType::Int64, "iteration", "iteration index"},
-    ColumnSpec{"stage", ColumnType::Int64, "stage", "pipeline stage"},
-    ColumnSpec{"rank", ColumnType::Int64, "rank",
-               "global rank hosting the stage (dp=0 view; equals stage "
-               "without a deployment)"},
-    ColumnSpec{"layer_begin", ColumnType::Int64, "layer",
-               "first layer hosted by the stage"},
-    ColumnSpec{"layer_end", ColumnType::Int64, "layer",
-               "one past the last layer hosted"},
-    ColumnSpec{"load_s", ColumnType::Float64, "s",
-               "sum of the stage's per-layer fwd+bwd seconds (per "
-               "microbatch, the balancers' currency)"},
-    ColumnSpec{"mem_bytes", ColumnType::Float64, "bytes",
-               "sum of the stage's per-layer resident bytes (activation "
-               "residency under the map at iteration entry)"},
-    ColumnSpec{"layer_s", ColumnType::ListFloat64, "s",
-               "per-layer fwd+bwd seconds for [layer_begin, layer_end); "
-               "empty when per-layer recording is off"},
-    ColumnSpec{"layer_mem", ColumnType::ListFloat64, "bytes",
-               "per-layer resident bytes for [layer_begin, layer_end)"},
-};
+template <typename... Rows>
+constexpr std::array<TableSpec, sizeof...(Rows)> make_tables(
+    std::type_identity<std::tuple<Rows...>>) {
+  return {TableSpec{TableOf<Rows>::name, TableOf<Rows>::file,
+                    TableOf<Rows>::description, kColumnSpecs<Rows>}...};
+}
 
-constexpr std::array kRebalanceDecisionColumns = {
-    ColumnSpec{"iter", ColumnType::Int64, "iteration", "iteration index"},
-    ColumnSpec{"trigger", ColumnType::String, "1",
-               "periodic | post_pack | post_restart"},
-    ColumnSpec{"algorithm", ColumnType::String, "1",
-               "partition | diffusion | hier_diffusion"},
-    ColumnSpec{"balance_by", ColumnType::String, "1", "time | param"},
-    ColumnSpec{"decision", ColumnType::String, "1",
-               "accepted | rejected_bottleneck | rejected_payoff"},
-    ColumnSpec{"projected_gain_s", ColumnType::Float64, "s",
-               "candidate's projected per-iteration bottleneck gain"},
-    ColumnSpec{"exposed_cost_s", ColumnType::Float64, "s",
-               "priced exposed migration cost the payoff rule weighed"},
-    ColumnSpec{"candidate_bytes", ColumnType::Float64, "bytes",
-               "bytes the candidate map would have moved"},
-    ColumnSpec{"migrated_bytes", ColumnType::Float64, "bytes",
-               "bytes actually moved (0 when rejected)"},
-    ColumnSpec{"migrated_layers", ColumnType::Int64, "layers",
-               "layer transfers in the executed plan"},
-    ColumnSpec{"imbalance_before", ColumnType::Float64, "1",
-               "load imbalance (paper Eq. 2) before"},
-    ColumnSpec{"imbalance_after", ColumnType::Float64, "1",
-               "load imbalance after"},
-    ColumnSpec{"decide_s", ColumnType::Float64, "s",
-               "measured decision wall-clock (machine-dependent)"},
-};
-
-constexpr std::array kMigrationColumns = {
-    ColumnSpec{"iter", ColumnType::Int64, "iteration", "iteration index"},
-    ColumnSpec{"trigger", ColumnType::String, "1",
-               "periodic | post_pack | post_restart | repack | phase"},
-    ColumnSpec{"layer", ColumnType::Int64, "layer", "migrated layer"},
-    ColumnSpec{"from_stage", ColumnType::Int64, "stage", "source stage"},
-    ColumnSpec{"to_stage", ColumnType::Int64, "stage", "destination stage"},
-    ColumnSpec{"bytes", ColumnType::Float64, "bytes",
-               "weights+grads+optimizer state moved (one DP replica)"},
-};
-
-constexpr std::array kElasticTransitionColumns = {
-    ColumnSpec{"iter", ColumnType::Int64, "iteration", "iteration index"},
-    ColumnSpec{"kind", ColumnType::String, "1",
-               "repack | shrink | expand | preempt"},
-    ColumnSpec{"accepted", ColumnType::Bool, "1",
-               "false when wanted but rejected by the payoff gate"},
-    ColumnSpec{"workers_before", ColumnType::Int64, "workers",
-               "active workers before the transition"},
-    ColumnSpec{"workers_after", ColumnType::Int64, "workers",
-               "active workers after (the wanted target when rejected)"},
-    ColumnSpec{"stall_s", ColumnType::Float64, "s",
-               "total stall the transition charges (restart stall, or the "
-               "re-pack's migration wall-clock)"},
-    ColumnSpec{"alpha_s", ColumnType::Float64, "s",
-               "restart breakdown: job-manager round-trip + respawn"},
-    ColumnSpec{"bootstrap_s", ColumnType::Float64, "s",
-               "restart breakdown: binomial communicator bootstrap"},
-    ColumnSpec{"ckpt_write_s", ColumnType::Float64, "s",
-               "restart breakdown: busiest-shard checkpoint write"},
-    ColumnSpec{"ckpt_read_s", ColumnType::Float64, "s",
-               "restart breakdown: busiest-shard checkpoint reload"},
-    ColumnSpec{"projected_gain_s", ColumnType::Float64, "s",
-               "per-iteration gain (expand) or freed GPU-time (shrink/"
-               "repack) the payoff rule weighed"},
-    ColumnSpec{"migrated_bytes", ColumnType::Float64, "bytes",
-               "re-pack transfer bytes; restarts move none (checkpoint "
-               "reload instead)"},
-};
-
-constexpr std::array kFleetDecisionColumns = {
-    ColumnSpec{"time_s", ColumnType::Float64, "s",
-               "fleet clock when the decision fired"},
-    ColumnSpec{"job", ColumnType::String, "1", "pod name of the claimant"},
-    ColumnSpec{"kind", ColumnType::String, "1",
-               "admit | grant | deny | release | preempt | finish"},
-    ColumnSpec{"accepted", ColumnType::Bool, "1",
-               "false for deny rows and refused preemptions"},
-    ColumnSpec{"priority", ColumnType::Int64, "1",
-               "claimant's priority class (higher preempts lower)"},
-    ColumnSpec{"gpus_before", ColumnType::Int64, "gpus",
-               "claimant's allocation before the decision"},
-    ColumnSpec{"gpus_after", ColumnType::Int64, "gpus",
-               "allocation after (the wanted target when denied)"},
-    ColumnSpec{"pool_free_before", ColumnType::Int64, "gpus",
-               "unreserved free GPUs in the pool before"},
-    ColumnSpec{"pool_free_after", ColumnType::Int64, "gpus",
-               "unreserved free GPUs after"},
-    ColumnSpec{"fair_share", ColumnType::Float64, "gpus",
-               "claimant's weighted max-min fair share at decision time"},
-    ColumnSpec{"projected_gain_gpu_s", ColumnType::Float64, "gpu*s",
-               "projected fleet-wide GPU-time gain over the payoff window"},
-    ColumnSpec{"exposed_cost_gpu_s", ColumnType::Float64, "gpu*s",
-               "exposed cost the fleet-payoff rule weighed (victim restart "
-               "stall + its slowdown at the reduced footprint)"},
-    ColumnSpec{"victim", ColumnType::String, "1",
-               "preempted job (preempt rows; empty otherwise)"},
-};
-
-constexpr std::array kFaultEventColumns = {
-    ColumnSpec{"iter", ColumnType::Int64, "iteration",
-               "iteration the event fired at"},
-    ColumnSpec{"kind", ColumnType::String, "1",
-               "worker_loss | straggler_onset | straggler_recovery"},
-    ColumnSpec{"worker", ColumnType::Int64, "rank", "victim worker rank"},
-    ColumnSpec{"multiplier", ColumnType::Float64, "1",
-               "straggler compute-speed multiplier (1.0 = healthy; loss "
-               "rows carry 1.0)"},
-    ColumnSpec{"workers_before", ColumnType::Int64, "workers",
-               "active workers before the event"},
-    ColumnSpec{"workers_after", ColumnType::Int64, "workers",
-               "active workers after (unchanged for straggler rows)"},
-    ColumnSpec{"stall_s", ColumnType::Float64, "s",
-               "total recovery charge: restart breakdown plus lost work "
-               "(0 for straggler rows)"},
-    ColumnSpec{"alpha_s", ColumnType::Float64, "s",
-               "restart breakdown: job-manager round-trip + respawn"},
-    ColumnSpec{"bootstrap_s", ColumnType::Float64, "s",
-               "restart breakdown: binomial communicator bootstrap"},
-    ColumnSpec{"ckpt_write_s", ColumnType::Float64, "s",
-               "restart breakdown: busiest-shard checkpoint write"},
-    ColumnSpec{"ckpt_read_s", ColumnType::Float64, "s",
-               "restart breakdown: busiest-shard checkpoint reload"},
-    ColumnSpec{"lost_work_s", ColumnType::Float64, "s",
-               "compute re-done because it post-dated the last checkpoint"},
-    ColumnSpec{"lost_iters", ColumnType::Int64, "iterations",
-               "iterations rolled back to the last checkpoint"},
-};
-
-constexpr std::array kTables = {
-    TableSpec{"iterations", "iterations.jsonl",
-              "one row per simulated iteration", kIterationColumns},
-    TableSpec{"stage_loads", "stage_loads.jsonl",
-              "one row per (iteration, stage) with per-layer detail",
-              kStageLoadColumns},
-    TableSpec{"rebalance_decisions", "rebalance_decisions.jsonl",
-              "every rebalance outcome with its accept/reject payoff math",
-              kRebalanceDecisionColumns},
-    TableSpec{"migrations", "migrations.jsonl",
-              "every executed layer transfer", kMigrationColumns},
-    TableSpec{"elastic_transitions", "elastic_transitions.jsonl",
-              "re-packs and elastic shrink/expand restarts with the "
-              "restart-stall breakdown",
-              kElasticTransitionColumns},
-    TableSpec{"fleet_decisions", "fleet_decisions.jsonl",
-              "every fleet arbiter admit/grant/deny/release/preempt "
-              "verdict with its fleet-payoff pricing",
-              kFleetDecisionColumns},
-    TableSpec{"fault_events", "fault_events.jsonl",
-              "every injected fault (worker loss, straggler onset/"
-              "recovery) with the recovery stall ledger",
-              kFaultEventColumns},
-};
+constexpr auto kTables = make_tables(std::type_identity<TraceRows>{});
 
 }  // namespace
 

@@ -2,6 +2,7 @@
 
 #include <fstream>
 #include <sstream>
+#include <variant>
 
 #include "core/error.hpp"
 #include "telemetry/json.hpp"
@@ -9,35 +10,6 @@
 namespace dynmo::telemetry {
 
 namespace {
-
-/// Parse one JSONL table: checks the per-row "_v" schema tag, then hands
-/// each row object to `consume`.
-template <typename Fn>
-void for_each_row(const std::string& text, const std::string& context,
-                  Fn&& consume) {
-  std::istringstream in(text);
-  std::string line;
-  std::int64_t lineno = 0;
-  while (std::getline(in, line)) {
-    ++lineno;
-    if (line.empty()) continue;
-    JsonValue row;
-    try {
-      row = JsonValue::parse(line);
-    } catch (const Error& e) {
-      throw Error(context + ":" + std::to_string(lineno) + ": " + e.what());
-    }
-    DYNMO_CHECK(row.kind == JsonValue::Kind::Object,
-                context << ":" << lineno << ": row is not an object");
-    const JsonValue* v = row.find("_v");
-    DYNMO_CHECK(v != nullptr && v->as_int() == kSchemaVersion,
-                context << ":" << lineno << ": row schema version "
-                        << (v != nullptr ? std::to_string(v->as_int())
-                                         : std::string("<missing>"))
-                        << " != library version " << kSchemaVersion);
-    consume(row);
-  }
-}
 
 const JsonValue& member(const JsonValue& obj, const char* key) {
   const JsonValue* v = obj.find(key);
@@ -61,6 +33,38 @@ std::vector<int> int_list(const JsonValue& v) {
   out.reserve(v.array.size());
   for (const auto& e : v.array) out.push_back(static_cast<int>(e.as_int()));
   return out;
+}
+
+void read_cell(const JsonValue& v, std::int64_t& out) { out = v.as_int(); }
+void read_cell(const JsonValue& v, double& out) { out = v.as_double(); }
+void read_cell(const JsonValue& v, bool& out) { out = v.as_bool(); }
+void read_cell(const JsonValue& v, std::string& out) { out = v.as_string(); }
+void read_cell(const JsonValue& v, std::vector<double>& out) {
+  out = double_list(v);
+}
+
+/// One JSONL line of Row's table: checks the "_v" schema tag, then fills
+/// every column of the table's column list.
+template <typename Row>
+Row parse_row(std::string_view line) {
+  const JsonValue v = JsonValue::parse(line);
+  DYNMO_CHECK(v.kind == JsonValue::Kind::Object, "row is not an object");
+  const JsonValue* version = v.find("_v");
+  DYNMO_CHECK(version != nullptr && version->is_integer &&
+                  version->integer == kSchemaVersion,
+              "row schema version is not the library's " << kSchemaVersion);
+  Row row;
+  for (const auto& col : TableOf<Row>::columns) {
+    const JsonValue* cell = v.find(col.spec.name);
+    try {
+      if (cell == nullptr) throw Error("missing");
+      std::visit([&](auto field) { read_cell(*cell, row.*field); },
+                 col.member);
+    } catch (const Error& e) {
+      throw Error("column '" + std::string(col.spec.name) + "': " + e.what());
+    }
+  }
+  return row;
 }
 
 }  // namespace
@@ -130,160 +134,33 @@ std::string TraceReader::read_file(const std::string& name) const {
   return std::move(buf).str();
 }
 
-std::vector<IterationRow> TraceReader::iterations() const {
-  std::vector<IterationRow> rows;
-  for_each_row(read_file(table_spec("iterations").file), "iterations",
-               [&](const JsonValue& v) {
-                 IterationRow r;
-                 r.iter = member(v, "iter").as_int();
-                 r.time_s = member(v, "time_s").as_double();
-                 r.event_s = member(v, "event_s").as_double();
-                 r.bottleneck_s = member(v, "bottleneck_s").as_double();
-                 r.idleness = member(v, "idleness").as_double();
-                 r.bubble_ratio = member(v, "bubble_ratio").as_double();
-                 r.active_workers = member(v, "active_workers").as_int();
-                 r.compute_fraction =
-                     member(v, "compute_fraction").as_double();
-                 r.rebalanced = member(v, "rebalanced").as_bool();
-                 r.stall_s = member(v, "stall_s").as_double();
-                 rows.push_back(std::move(r));
-               });
+template <typename Row>
+std::vector<Row> TraceReader::read() const {
+  std::istringstream in(read_file(TableOf<Row>::file));
+  std::vector<Row> rows;
+  std::string line;
+  for (std::int64_t lineno = 1; std::getline(in, line); ++lineno) {
+    if (line.empty()) continue;
+    try {
+      rows.push_back(parse_row<Row>(line));
+    } catch (const Error& e) {
+      throw Error(std::string(TableOf<Row>::name) + ":" +
+                  std::to_string(lineno) + ": " + e.what());
+    }
+  }
   return rows;
 }
 
-std::vector<StageLoadRow> TraceReader::stage_loads() const {
-  std::vector<StageLoadRow> rows;
-  for_each_row(read_file(table_spec("stage_loads").file), "stage_loads",
-               [&](const JsonValue& v) {
-                 StageLoadRow r;
-                 r.iter = member(v, "iter").as_int();
-                 r.stage = member(v, "stage").as_int();
-                 r.rank = member(v, "rank").as_int();
-                 r.layer_begin = member(v, "layer_begin").as_int();
-                 r.layer_end = member(v, "layer_end").as_int();
-                 r.load_s = member(v, "load_s").as_double();
-                 r.mem_bytes = member(v, "mem_bytes").as_double();
-                 r.layer_s = double_list(member(v, "layer_s"));
-                 r.layer_mem = double_list(member(v, "layer_mem"));
-                 rows.push_back(std::move(r));
-               });
-  return rows;
-}
-
-std::vector<RebalanceDecisionRow> TraceReader::rebalance_decisions() const {
-  std::vector<RebalanceDecisionRow> rows;
-  for_each_row(
-      read_file(table_spec("rebalance_decisions").file),
-      "rebalance_decisions", [&](const JsonValue& v) {
-        RebalanceDecisionRow r;
-        r.iter = member(v, "iter").as_int();
-        r.trigger = member(v, "trigger").as_string();
-        r.algorithm = member(v, "algorithm").as_string();
-        r.balance_by = member(v, "balance_by").as_string();
-        r.decision = member(v, "decision").as_string();
-        r.projected_gain_s = member(v, "projected_gain_s").as_double();
-        r.exposed_cost_s = member(v, "exposed_cost_s").as_double();
-        r.candidate_bytes = member(v, "candidate_bytes").as_double();
-        r.migrated_bytes = member(v, "migrated_bytes").as_double();
-        r.migrated_layers = member(v, "migrated_layers").as_int();
-        r.imbalance_before = member(v, "imbalance_before").as_double();
-        r.imbalance_after = member(v, "imbalance_after").as_double();
-        r.decide_s = member(v, "decide_s").as_double();
-        rows.push_back(std::move(r));
-      });
-  return rows;
-}
-
-std::vector<MigrationRow> TraceReader::migrations() const {
-  std::vector<MigrationRow> rows;
-  for_each_row(read_file(table_spec("migrations").file), "migrations",
-               [&](const JsonValue& v) {
-                 MigrationRow r;
-                 r.iter = member(v, "iter").as_int();
-                 r.trigger = member(v, "trigger").as_string();
-                 r.layer = member(v, "layer").as_int();
-                 r.from_stage = member(v, "from_stage").as_int();
-                 r.to_stage = member(v, "to_stage").as_int();
-                 r.bytes = member(v, "bytes").as_double();
-                 rows.push_back(std::move(r));
-               });
-  return rows;
-}
-
-std::vector<ElasticTransitionRow> TraceReader::elastic_transitions() const {
-  std::vector<ElasticTransitionRow> rows;
-  for_each_row(
-      read_file(table_spec("elastic_transitions").file),
-      "elastic_transitions", [&](const JsonValue& v) {
-        ElasticTransitionRow r;
-        r.iter = member(v, "iter").as_int();
-        r.kind = member(v, "kind").as_string();
-        r.accepted = member(v, "accepted").as_bool();
-        r.workers_before = member(v, "workers_before").as_int();
-        r.workers_after = member(v, "workers_after").as_int();
-        r.stall_s = member(v, "stall_s").as_double();
-        r.alpha_s = member(v, "alpha_s").as_double();
-        r.bootstrap_s = member(v, "bootstrap_s").as_double();
-        r.ckpt_write_s = member(v, "ckpt_write_s").as_double();
-        r.ckpt_read_s = member(v, "ckpt_read_s").as_double();
-        r.projected_gain_s = member(v, "projected_gain_s").as_double();
-        r.migrated_bytes = member(v, "migrated_bytes").as_double();
-        rows.push_back(std::move(r));
-      });
-  return rows;
-}
-
-std::vector<FleetDecisionRow> TraceReader::fleet_decisions() const {
-  std::vector<FleetDecisionRow> rows;
-  for_each_row(
-      read_file(table_spec("fleet_decisions").file),
-      "fleet_decisions", [&](const JsonValue& v) {
-        FleetDecisionRow r;
-        r.time_s = member(v, "time_s").as_double();
-        r.job = member(v, "job").as_string();
-        r.kind = member(v, "kind").as_string();
-        r.accepted = member(v, "accepted").as_bool();
-        r.priority = member(v, "priority").as_int();
-        r.gpus_before = member(v, "gpus_before").as_int();
-        r.gpus_after = member(v, "gpus_after").as_int();
-        r.pool_free_before = member(v, "pool_free_before").as_int();
-        r.pool_free_after = member(v, "pool_free_after").as_int();
-        r.fair_share = member(v, "fair_share").as_double();
-        r.projected_gain_gpu_s =
-            member(v, "projected_gain_gpu_s").as_double();
-        r.exposed_cost_gpu_s = member(v, "exposed_cost_gpu_s").as_double();
-        r.victim = member(v, "victim").as_string();
-        rows.push_back(std::move(r));
-      });
-  return rows;
-}
-
-std::vector<FaultEventRow> TraceReader::fault_events() const {
-  std::vector<FaultEventRow> rows;
-  for_each_row(
-      read_file(table_spec("fault_events").file), "fault_events",
-      [&](const JsonValue& v) {
-        FaultEventRow r;
-        r.iter = member(v, "iter").as_int();
-        r.kind = member(v, "kind").as_string();
-        r.worker = member(v, "worker").as_int();
-        r.multiplier = member(v, "multiplier").as_double();
-        r.workers_before = member(v, "workers_before").as_int();
-        r.workers_after = member(v, "workers_after").as_int();
-        r.stall_s = member(v, "stall_s").as_double();
-        r.alpha_s = member(v, "alpha_s").as_double();
-        r.bootstrap_s = member(v, "bootstrap_s").as_double();
-        r.ckpt_write_s = member(v, "ckpt_write_s").as_double();
-        r.ckpt_read_s = member(v, "ckpt_read_s").as_double();
-        r.lost_work_s = member(v, "lost_work_s").as_double();
-        r.lost_iters = member(v, "lost_iters").as_int();
-        rows.push_back(std::move(r));
-      });
-  return rows;
-}
+template std::vector<IterationRow> TraceReader::read() const;
+template std::vector<StageLoadRow> TraceReader::read() const;
+template std::vector<RebalanceDecisionRow> TraceReader::read() const;
+template std::vector<MigrationRow> TraceReader::read() const;
+template std::vector<ElasticTransitionRow> TraceReader::read() const;
+template std::vector<FleetDecisionRow> TraceReader::read() const;
+template std::vector<FaultEventRow> TraceReader::read() const;
 
 balance::ReplayedLoads TraceReader::replayed_loads() const {
-  const auto rows = stage_loads();
+  const auto rows = read<StageLoadRow>();
   DYNMO_CHECK(!rows.empty(), "trace has no stage_loads rows");
 
   balance::ReplayedLoads loads;

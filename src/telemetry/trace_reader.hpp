@@ -2,8 +2,9 @@
 //
 // Opens a trace directory written by TraceWriter, validates catalog.json
 // (format string, schema version, declared tables present), and reads any
-// table back into its typed rows.  Rows whose "_v" differs from the
-// library's kSchemaVersion are rejected loudly — never reinterpreted.
+// table back into its typed rows with read<Row>().  Rows whose "_v"
+// differs from the library's kSchemaVersion are rejected loudly — never
+// reinterpreted.
 //
 // Two conveniences close the replay loop: replayed_loads() reassembles
 // the per-layer load history from the stage_loads table, and
@@ -48,13 +49,10 @@ class TraceReader {
   const RunInfo& run() const { return catalog_.run; }
   const std::string& dir() const { return dir_; }
 
-  std::vector<IterationRow> iterations() const;
-  std::vector<StageLoadRow> stage_loads() const;
-  std::vector<RebalanceDecisionRow> rebalance_decisions() const;
-  std::vector<MigrationRow> migrations() const;
-  std::vector<ElasticTransitionRow> elastic_transitions() const;
-  std::vector<FleetDecisionRow> fleet_decisions() const;
-  std::vector<FaultEventRow> fault_events() const;
+  /// Every row of Row's table (any of TraceRows), in file order.  Throws
+  /// dynmo::Error naming the table, line and column of the first bad row.
+  template <typename Row>
+  std::vector<Row> read() const;
 
   /// Reassemble the per-layer load history from stage_loads (frames in
   /// iteration order, per-layer arrays concatenated across stages).

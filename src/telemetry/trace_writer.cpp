@@ -3,8 +3,8 @@
 #include <unistd.h>
 
 #include <filesystem>
-#include <span>
 #include <type_traits>
+#include <variant>
 
 #include "core/error.hpp"
 #include "telemetry/json.hpp"
@@ -13,64 +13,21 @@ namespace dynmo::telemetry {
 
 namespace {
 
-/// Incremental row builder: keeps the emitted key order in lockstep with
-/// the table's ColumnSpec order (the validator in tools/query_trace.py
-/// cross-checks every row against the catalog, so drift fails CI).
-class RowBuilder {
- public:
-  RowBuilder() { line_ = "{\"_v\":" + std::to_string(kSchemaVersion); }
-
-  RowBuilder& field(const char* key, std::int64_t v) {
-    sep(key);
-    line_ += std::to_string(v);
-    return *this;
+void append_value(std::string& line, std::int64_t v) {
+  line += std::to_string(v);
+}
+void append_value(std::string& line, double v) { line += format_double(v); }
+void append_value(std::string& line, bool v) { line += v ? "true" : "false"; }
+void append_value(std::string& line, const std::string& v) {
+  append_json_string(line, v);
+}
+void append_value(std::string& line, const std::vector<double>& v) {
+  line += '[';
+  for (std::size_t i = 0; i < v.size(); ++i) {
+    if (i > 0) line += ',';
+    line += format_double(v[i]);
   }
-  RowBuilder& field(const char* key, double v) {
-    sep(key);
-    line_ += format_double(v);
-    return *this;
-  }
-  RowBuilder& field(const char* key, bool v) {
-    sep(key);
-    line_ += v ? "true" : "false";
-    return *this;
-  }
-  RowBuilder& field(const char* key, const std::string& v) {
-    sep(key);
-    append_json_string(line_, v);
-    return *this;
-  }
-  RowBuilder& field(const char* key, std::span<const double> v) {
-    sep(key);
-    line_ += '[';
-    for (std::size_t i = 0; i < v.size(); ++i) {
-      if (i > 0) line_ += ',';
-      line_ += format_double(v[i]);
-    }
-    line_ += ']';
-    return *this;
-  }
-
-  std::string finish() && {
-    line_ += "}\n";
-    return std::move(line_);
-  }
-
- private:
-  void sep(const char* key) {
-    line_ += ",\"";
-    line_ += key;
-    line_ += "\":";
-  }
-  std::string line_;
-};
-
-std::size_t table_index(std::string_view name) {
-  const auto specs = table_specs();
-  for (std::size_t i = 0; i < specs.size(); ++i) {
-    if (name == specs[i].name) return i;
-  }
-  throw Error("unknown trace table: " + std::string(name));
+  line += ']';
 }
 
 }  // namespace
@@ -110,10 +67,6 @@ TraceWriter::~TraceWriter() {
   }
 }
 
-TraceWriter::Table& TraceWriter::table(std::string_view name) {
-  return tables_[table_index(name)];
-}
-
 void TraceWriter::append_row(Table& t, const std::string& line) {
   std::scoped_lock lock(mu_);
   DYNMO_CHECK(t.file != nullptr, "trace table already finalized");
@@ -124,119 +77,33 @@ void TraceWriter::append_row(Table& t, const std::string& line) {
 
 std::int64_t TraceWriter::rows_written(std::string_view name) const {
   std::scoped_lock lock(mu_);
-  return tables_[table_index(name)].rows;
+  const auto index = &table_spec(name) - table_specs().data();
+  return tables_[static_cast<std::size_t>(index)].rows;
 }
 
-void TraceWriter::write_iteration(const IterationRow& r) {
-  RowBuilder b;
-  b.field("iter", r.iter)
-      .field("time_s", r.time_s)
-      .field("event_s", r.event_s)
-      .field("bottleneck_s", r.bottleneck_s)
-      .field("idleness", r.idleness)
-      .field("bubble_ratio", r.bubble_ratio)
-      .field("active_workers", r.active_workers)
-      .field("compute_fraction", r.compute_fraction)
-      .field("rebalanced", r.rebalanced)
-      .field("stall_s", r.stall_s);
-  append_row(table("iterations"), std::move(b).finish());
+template <typename Row>
+void TraceWriter::write(const Row& row) {
+  // Keys in column-list order: tools/query_trace.py cross-checks every row
+  // against the catalog, so the two cannot drift.
+  std::string line = "{\"_v\":" + std::to_string(kSchemaVersion);
+  for (const auto& col : TableOf<Row>::columns) {
+    line += ",\"";
+    line += col.spec.name;
+    line += "\":";
+    std::visit([&](auto field) { append_value(line, row.*field); },
+               col.member);
+  }
+  line += "}\n";
+  append_row(tables_[kTableIndex<Row>], line);
 }
 
-void TraceWriter::write_stage_load(const StageLoadRow& r) {
-  RowBuilder b;
-  b.field("iter", r.iter)
-      .field("stage", r.stage)
-      .field("rank", r.rank)
-      .field("layer_begin", r.layer_begin)
-      .field("layer_end", r.layer_end)
-      .field("load_s", r.load_s)
-      .field("mem_bytes", r.mem_bytes)
-      .field("layer_s", std::span<const double>(r.layer_s))
-      .field("layer_mem", std::span<const double>(r.layer_mem));
-  append_row(table("stage_loads"), std::move(b).finish());
-}
-
-void TraceWriter::write_rebalance_decision(const RebalanceDecisionRow& r) {
-  RowBuilder b;
-  b.field("iter", r.iter)
-      .field("trigger", r.trigger)
-      .field("algorithm", r.algorithm)
-      .field("balance_by", r.balance_by)
-      .field("decision", r.decision)
-      .field("projected_gain_s", r.projected_gain_s)
-      .field("exposed_cost_s", r.exposed_cost_s)
-      .field("candidate_bytes", r.candidate_bytes)
-      .field("migrated_bytes", r.migrated_bytes)
-      .field("migrated_layers", r.migrated_layers)
-      .field("imbalance_before", r.imbalance_before)
-      .field("imbalance_after", r.imbalance_after)
-      .field("decide_s", r.decide_s);
-  append_row(table("rebalance_decisions"), std::move(b).finish());
-}
-
-void TraceWriter::write_migration(const MigrationRow& r) {
-  RowBuilder b;
-  b.field("iter", r.iter)
-      .field("trigger", r.trigger)
-      .field("layer", r.layer)
-      .field("from_stage", r.from_stage)
-      .field("to_stage", r.to_stage)
-      .field("bytes", r.bytes);
-  append_row(table("migrations"), std::move(b).finish());
-}
-
-void TraceWriter::write_elastic_transition(const ElasticTransitionRow& r) {
-  RowBuilder b;
-  b.field("iter", r.iter)
-      .field("kind", r.kind)
-      .field("accepted", r.accepted)
-      .field("workers_before", r.workers_before)
-      .field("workers_after", r.workers_after)
-      .field("stall_s", r.stall_s)
-      .field("alpha_s", r.alpha_s)
-      .field("bootstrap_s", r.bootstrap_s)
-      .field("ckpt_write_s", r.ckpt_write_s)
-      .field("ckpt_read_s", r.ckpt_read_s)
-      .field("projected_gain_s", r.projected_gain_s)
-      .field("migrated_bytes", r.migrated_bytes);
-  append_row(table("elastic_transitions"), std::move(b).finish());
-}
-
-void TraceWriter::write_fleet_decision(const FleetDecisionRow& r) {
-  RowBuilder b;
-  b.field("time_s", r.time_s)
-      .field("job", r.job)
-      .field("kind", r.kind)
-      .field("accepted", r.accepted)
-      .field("priority", r.priority)
-      .field("gpus_before", r.gpus_before)
-      .field("gpus_after", r.gpus_after)
-      .field("pool_free_before", r.pool_free_before)
-      .field("pool_free_after", r.pool_free_after)
-      .field("fair_share", r.fair_share)
-      .field("projected_gain_gpu_s", r.projected_gain_gpu_s)
-      .field("exposed_cost_gpu_s", r.exposed_cost_gpu_s)
-      .field("victim", r.victim);
-  append_row(table("fleet_decisions"), std::move(b).finish());
-}
-
-void TraceWriter::write_fault_event(const FaultEventRow& r) {
-  RowBuilder b;
-  b.field("iter", r.iter)
-      .field("kind", r.kind)
-      .field("worker", r.worker)
-      .field("multiplier", r.multiplier)
-      .field("workers_before", r.workers_before)
-      .field("workers_after", r.workers_after)
-      .field("stall_s", r.stall_s)
-      .field("alpha_s", r.alpha_s)
-      .field("bootstrap_s", r.bootstrap_s)
-      .field("ckpt_write_s", r.ckpt_write_s)
-      .field("ckpt_read_s", r.ckpt_read_s)
-      .field("lost_work_s", r.lost_work_s)
-      .field("lost_iters", r.lost_iters);
-  append_row(table("fault_events"), std::move(b).finish());
-}
+template void TraceWriter::write(const IterationRow&);
+template void TraceWriter::write(const StageLoadRow&);
+template void TraceWriter::write(const RebalanceDecisionRow&);
+template void TraceWriter::write(const MigrationRow&);
+template void TraceWriter::write(const ElasticTransitionRow&);
+template void TraceWriter::write(const FleetDecisionRow&);
+template void TraceWriter::write(const FaultEventRow&);
 
 void TraceWriter::write_catalog() {
   std::string out = "{\n";

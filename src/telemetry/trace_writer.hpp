@@ -12,6 +12,7 @@
 // not even format a row.
 #pragma once
 
+#include <array>
 #include <cstdint>
 #include <cstdio>
 #include <mutex>
@@ -31,13 +32,10 @@ class TraceWriter {
   TraceWriter(const TraceWriter&) = delete;
   TraceWriter& operator=(const TraceWriter&) = delete;
 
-  void write_iteration(const IterationRow& row);
-  void write_stage_load(const StageLoadRow& row);
-  void write_rebalance_decision(const RebalanceDecisionRow& row);
-  void write_migration(const MigrationRow& row);
-  void write_elastic_transition(const ElasticTransitionRow& row);
-  void write_fleet_decision(const FleetDecisionRow& row);
-  void write_fault_event(const FaultEventRow& row);
+  /// Append one row to its table (any of TraceRows), keys in column-list
+  /// order.
+  template <typename Row>
+  void write(const Row& row);
 
   /// Flush all tables and write catalog.json.  Idempotent; rows written
   /// after finalize() reopen the pending state and require another call.
@@ -53,7 +51,6 @@ class TraceWriter {
     std::int64_t rows = 0;
   };
 
-  Table& table(std::string_view name);
   void append_row(Table& t, const std::string& line);
   void write_catalog();
 
@@ -61,7 +58,7 @@ class TraceWriter {
   RunInfo run_;
   mutable std::mutex mu_;
   // Indexed in table_specs() order.
-  Table tables_[7];
+  std::array<Table, kNumTables> tables_;
   bool finalized_ = false;
 };
 

@@ -441,7 +441,7 @@ TEST(SessionElastic, ForcedShrinkTakesTheCheckpointPathDeterministically) {
   // busiest-shard checkpoint write/read) — not a zero-cost reassignment.
   telemetry::TraceReader reader((base / "a").string());
   std::vector<telemetry::ElasticTransitionRow> preempts;
-  for (const auto& row : reader.elastic_transitions()) {
+  for (const auto& row : reader.read<telemetry::ElasticTransitionRow>()) {
     if (row.kind == "preempt") preempts.push_back(row);
   }
   ASSERT_EQ(preempts.size(), 1u);
@@ -533,7 +533,7 @@ TEST(SessionElastic, ShrinkQuoteIsTheStallTheForcedShrinkCharges) {
 
   telemetry::TraceReader reader(dir);
   int preempts = 0;
-  for (const auto& row : reader.elastic_transitions()) {
+  for (const auto& row : reader.read<telemetry::ElasticTransitionRow>()) {
     if (row.kind != "preempt") continue;
     ++preempts;
     EXPECT_DOUBLE_EQ(row.stall_s, q.restart_stall_s);

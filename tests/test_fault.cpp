@@ -336,11 +336,11 @@ TEST(SessionFault, RestartStallLedgerIsConsistentAcrossTables) {
 
   telemetry::TraceReader reader(dir);
   double ledger = 0.0;
-  for (const auto& row : reader.elastic_transitions()) {
+  for (const auto& row : reader.read<telemetry::ElasticTransitionRow>()) {
     if (row.accepted && row.kind != "repack") ledger += row.stall_s;
   }
   int loss_rows = 0;
-  for (const auto& row : reader.fault_events()) {
+  for (const auto& row : reader.read<telemetry::FaultEventRow>()) {
     if (row.kind == "worker_loss") {
       ++loss_rows;
       ledger += row.stall_s;

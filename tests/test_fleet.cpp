@@ -292,7 +292,7 @@ TEST(FleetArbiter, HigherPriorityArrivalPreemptsByCheckpoint) {
   // The same verdicts landed in the fleet_decisions telemetry table.
   telemetry::TraceReader reader(dir);
   EXPECT_EQ(reader.run().producer, "fleet");
-  const auto rows = reader.fleet_decisions();
+  const auto rows = reader.read<telemetry::FleetDecisionRow>();
   ASSERT_EQ(rows.size(), r.decisions.size());
   for (std::size_t i = 0; i < rows.size(); ++i) {
     EXPECT_EQ(rows[i], r.decisions[i]);

@@ -15,8 +15,6 @@
 //   Rebalancer       incremental vs rebalance_full_rescan, decisions and
 //                    all priced numbers
 //   CostBuilder      memoized layer pricing vs full re-evaluation
-//   Deployment       cached link/group/capacity lookups vs re-derivation,
-//                    plus the resolver-call regression counter
 //   TrainingSession  golden-trace proof: a full session run with the
 //                    incremental path ON emits byte-identical telemetry
 //                    tables to the same run with it OFF
@@ -35,7 +33,6 @@
 #include "balance/incremental.hpp"
 #include "balance/migration.hpp"
 #include "balance/rebalancer.hpp"
-#include "cluster/deployment.hpp"
 #include "diff_check.hpp"
 #include "dynmo/dynmo.hpp"
 #include "pipeline/cost_builder.hpp"
@@ -400,68 +397,6 @@ TEST(RebalancerDifferential, IncrementalMatchesFullRescanOverStream) {
       }
     }
   }
-}
-
-// ---------------------------------------------------------------------------
-// Deployment: memoized link/group/capacity lookups return identical
-// objects, and the resolver-call counter stays flat on repeats.
-
-TEST(DeploymentCache, MemoizedLookupsMatchAndResolverCallsStayFlat) {
-  const auto dep = cluster::Deployment::make_topology_aware(
-      cluster::Topology::make_dgx_a100(2), 8);
-  const auto base = dep.cache_stats();
-
-  // First pass: misses populate the cache; values must equal the
-  // re-derivation twin exactly.
-  for (int a = 0; a < 8; ++a) {
-    for (int b = 0; b < 8; ++b) {
-      const auto lp = dep.link(a, b);
-      const auto ref = dep.link_full_rescan(a, b);
-      ASSERT_EQ(lp.alpha_s, ref.alpha_s) << a << "," << b;
-      ASSERT_EQ(lp.beta_bytes_s, ref.beta_bytes_s) << a << "," << b;
-    }
-  }
-  const auto caps = dep.stage_capacities();
-  EXPECT_EQ(caps, dep.stage_capacities_full_rescan());
-  const auto grp = dep.group(dep.stage_to_rank());
-  const auto grp_ref = dep.group_full_rescan(dep.stage_to_rank());
-  EXPECT_EQ(grp.node_sizes, grp_ref.node_sizes);
-  EXPECT_EQ(grp.intra.alpha_s, grp_ref.intra.alpha_s);
-  EXPECT_EQ(grp.intra.beta_bytes_s, grp_ref.intra.beta_bytes_s);
-  EXPECT_EQ(grp.inter.alpha_s, grp_ref.inter.alpha_s);
-  EXPECT_EQ(grp.inter.beta_bytes_s, grp_ref.inter.beta_bytes_s);
-
-  const auto after_first = dep.cache_stats();
-  EXPECT_GT(after_first.resolver_calls, base.resolver_calls);
-
-  // Second pass over the identical queries: lookups rise, resolver flat —
-  // the regression this hook exists to catch.
-  for (int a = 0; a < 8; ++a) {
-    for (int b = 0; b < 8; ++b) {
-      const auto lp = dep.link(a, b);
-      const auto ref = dep.link_full_rescan(a, b);
-      ASSERT_EQ(lp.alpha_s, ref.alpha_s);
-      ASSERT_EQ(lp.beta_bytes_s, ref.beta_bytes_s);
-    }
-  }
-  (void)dep.stage_capacities();
-  (void)dep.group(dep.stage_to_rank());
-  const auto after_second = dep.cache_stats();
-  EXPECT_EQ(after_second.resolver_calls, after_first.resolver_calls)
-      << "repeated identical lookups re-ran the resolver";
-  EXPECT_GT(after_second.lookups, after_first.lookups);
-}
-
-TEST(DeploymentCache, CopiesShareTheCacheViewsGetFresh) {
-  const auto dep = cluster::Deployment::make_topology_aware(
-      cluster::Topology::make_dgx_a100(1), 4);
-  (void)dep.link(0, 3);
-  const auto warm = dep.cache_stats();
-  const auto copy = dep;  // shares the cache
-  (void)copy.link(0, 3);
-  EXPECT_EQ(copy.cache_stats().resolver_calls, warm.resolver_calls);
-  const auto view = dep.prefix(2);  // fresh cache: different placement
-  EXPECT_EQ(view.cache_stats().lookups, 0u);
 }
 
 // ---------------------------------------------------------------------------

@@ -5,7 +5,9 @@
 
 #include <algorithm>
 #include <cstdint>
+#include <fstream>
 #include <string>
+#include <type_traits>
 #include <vector>
 
 #include "balance/replay.hpp"
@@ -17,6 +19,7 @@
 #include "repack/elastic.hpp"
 #include "runtime/session.hpp"
 #include "runtime/threaded.hpp"
+#include "telemetry/json.hpp"
 #include "telemetry/trace_reader.hpp"
 #include "telemetry/trace_writer.hpp"
 
@@ -143,13 +146,13 @@ TEST(Telemetry, WriterReaderRoundTrip) {
     telemetry::TelemetryConfig cfg;
     cfg.dir = dir;
     telemetry::TraceWriter writer(cfg, run);
-    writer.write_iteration(it);
-    writer.write_stage_load(sl);
-    writer.write_rebalance_decision(rd);
-    writer.write_migration(mg);
-    writer.write_elastic_transition(et);
-    writer.write_fault_event(fe);
-    writer.write_fleet_decision(fd);
+    writer.write(it);
+    writer.write(sl);
+    writer.write(rd);
+    writer.write(mg);
+    writer.write(et);
+    writer.write(fe);
+    writer.write(fd);
     EXPECT_EQ(writer.rows_written("iterations"), 1);
     EXPECT_EQ(writer.rows_written("elastic_transitions"), 1);
     EXPECT_EQ(writer.rows_written("fleet_decisions"), 1);
@@ -174,24 +177,93 @@ TEST(Telemetry, WriterReaderRoundTrip) {
   EXPECT_EQ(r.payoff_window_iters, run.payoff_window_iters);
 
   // Typed rows survive the JSONL round trip exactly, doubles included.
-  ASSERT_EQ(reader.iterations().size(), 1u);
-  EXPECT_EQ(reader.iterations()[0], it);
-  ASSERT_EQ(reader.stage_loads().size(), 1u);
-  EXPECT_EQ(reader.stage_loads()[0], sl);
-  ASSERT_EQ(reader.rebalance_decisions().size(), 1u);
-  EXPECT_EQ(reader.rebalance_decisions()[0], rd);
-  ASSERT_EQ(reader.migrations().size(), 1u);
-  EXPECT_EQ(reader.migrations()[0], mg);
-  ASSERT_EQ(reader.elastic_transitions().size(), 1u);
-  EXPECT_EQ(reader.elastic_transitions()[0], et);
-  ASSERT_EQ(reader.fault_events().size(), 1u);
-  EXPECT_EQ(reader.fault_events()[0], fe);
-  ASSERT_EQ(reader.fleet_decisions().size(), 1u);
-  EXPECT_EQ(reader.fleet_decisions()[0], fd);
+  const auto expect_one = [&reader](const auto& written) {
+    const auto rows = reader.read<std::decay_t<decltype(written)>>();
+    ASSERT_EQ(rows.size(), 1u);
+    EXPECT_EQ(rows[0], written);
+  };
+  expect_one(it);
+  expect_one(sl);
+  expect_one(rd);
+  expect_one(mg);
+  expect_one(et);
+  expect_one(fe);
+  expect_one(fd);
 }
 
 TEST(Telemetry, ReaderRejectsMissingDirectory) {
   EXPECT_THROW(telemetry::TraceReader("/nonexistent/dynmo_trace"), Error);
+}
+
+TEST(Telemetry, JsonNestingIsBoundedNotRecursedWithoutLimit) {
+  using telemetry::JsonValue;
+  using telemetry::kMaxJsonDepth;
+  EXPECT_THROW((void)JsonValue::parse(std::string(1'000'000, '[')), Error);
+  EXPECT_THROW((void)JsonValue::parse(std::string(1'000'000, '{')), Error);
+
+  const auto nested = [](int depth) {
+    return std::string(static_cast<std::size_t>(depth), '[') +
+           std::string(static_cast<std::size_t>(depth), ']');
+  };
+  EXPECT_NO_THROW((void)JsonValue::parse(nested(kMaxJsonDepth)));
+  EXPECT_THROW((void)JsonValue::parse(nested(kMaxJsonDepth + 1)), Error);
+  // Depth counts open containers, not containers seen: siblings are free.
+  std::string wide = "[";
+  for (int i = 0; i < 4 * kMaxJsonDepth; ++i) wide += "[],{},";
+  wide += "[]]";
+  EXPECT_NO_THROW((void)JsonValue::parse(wide));
+}
+
+TEST(Telemetry, ReaderRowErrorsNameTableLineAndColumn) {
+  const auto dir = trace_dir("row_errors");
+  telemetry::FaultEventRow fe;
+  fe.iter = 450;
+  fe.kind = "worker_loss";
+  fe.stall_s = 4.25;
+  {
+    telemetry::TelemetryConfig cfg;
+    cfg.dir = dir;
+    telemetry::TraceWriter writer(cfg, telemetry::RunInfo{});
+    writer.write(fe);
+  }
+  const std::string path = dir + "/fault_events.jsonl";
+  std::string good;
+  {
+    std::ifstream in(path);
+    std::getline(in, good);
+  }
+  const auto replaced = [&good](const std::string& from,
+                                const std::string& to) {
+    std::string line = good;
+    const auto at = line.find(from);
+    EXPECT_NE(at, std::string::npos) << from;
+    return line.replace(at, from.size(), to);
+  };
+  struct Case {
+    std::string second_line;
+    const char* column;  ///< nullptr: a row-level error
+  };
+  const Case cases[] = {
+      {replaced(",\"stall_s\":4.25", ""), "stall_s"},
+      {replaced("\"iter\":450", "\"iter\":1.5"), "iter"},
+      {replaced("\"_v\":1", "\"_v\":2"), nullptr},
+  };
+  for (const Case& c : cases) {
+    std::ofstream(path) << good << "\n" << c.second_line << "\n";
+    telemetry::TraceReader reader(dir);
+    try {
+      (void)reader.read<telemetry::FaultEventRow>();
+      ADD_FAILURE() << "accepted: " << c.second_line;
+    } catch (const Error& e) {
+      const std::string what = e.what();
+      EXPECT_NE(what.find("fault_events:2"), std::string::npos) << what;
+      if (c.column != nullptr) {
+        EXPECT_NE(what.find(std::string("column '") + c.column + "'"),
+                  std::string::npos)
+            << what;
+      }
+    }
+  }
 }
 
 // ------------------------------------------------------------ session trace
@@ -231,8 +303,8 @@ TEST(Telemetry, SessionTraceMatchesCatalog) {
   EXPECT_EQ(reader.run().rebalance_interval, 1);
 
   // 400 iterations at stride 10 -> 40 simulated frames.
-  const auto iterations = reader.iterations();
-  const auto stage_loads = reader.stage_loads();
+  const auto iterations = reader.read<telemetry::IterationRow>();
+  const auto stage_loads = reader.read<telemetry::StageLoadRow>();
   ASSERT_EQ(iterations.size(), 40u);
   EXPECT_EQ(stage_loads.size(), 40u * 8u);
 
@@ -241,8 +313,9 @@ TEST(Telemetry, SessionTraceMatchesCatalog) {
     if (t.name == "iterations") EXPECT_EQ(t.rows, 40);
     if (t.name == "stage_loads") EXPECT_EQ(t.rows, 40 * 8);
     if (t.name == "rebalance_decisions") {
-      EXPECT_EQ(t.rows, static_cast<std::int64_t>(
-                            reader.rebalance_decisions().size()));
+      EXPECT_EQ(t.rows,
+                static_cast<std::int64_t>(
+                    reader.read<telemetry::RebalanceDecisionRow>().size()));
     }
   }
 
@@ -263,8 +336,8 @@ TEST(Telemetry, SessionTraceMatchesCatalog) {
 
   // Every-iteration cadence: each simulated frame is a rebalance point.
   for (const auto& row : iterations) EXPECT_TRUE(row.rebalanced);
-  EXPECT_EQ(static_cast<int>(reader.rebalance_decisions().size()),
-            result.rebalance_count);
+  EXPECT_EQ(reader.read<telemetry::RebalanceDecisionRow>().size(),
+            static_cast<std::size_t>(result.rebalance_count));
 }
 
 TEST(Telemetry, ReplayReproducesSessionBitForBit) {
@@ -278,7 +351,7 @@ TEST(Telemetry, ReplayReproducesSessionBitForBit) {
   const auto loads = reader.replayed_loads();
   const auto replayed = balance::replay(loads, reader.replay_config(), net);
 
-  const auto iterations = reader.iterations();
+  const auto iterations = reader.read<telemetry::IterationRow>();
   ASSERT_EQ(replayed.bottleneck_s.size(), iterations.size());
   for (std::size_t i = 0; i < iterations.size(); ++i) {
     // Exact double equality: the determinism contract extended to traces.
@@ -363,8 +436,9 @@ TEST(Telemetry, PerLayerOffReplayThrows) {
 
   telemetry::TraceReader reader(dir);
   // Stage totals are still there...
-  EXPECT_FALSE(reader.stage_loads().empty());
-  EXPECT_TRUE(reader.stage_loads()[0].layer_s.empty());
+  const auto stage_loads = reader.read<telemetry::StageLoadRow>();
+  ASSERT_FALSE(stage_loads.empty());
+  EXPECT_TRUE(stage_loads[0].layer_s.empty());
   // ...but replay needs the per-layer arrays.
   EXPECT_THROW((void)reader.replayed_loads(), Error);
 }
@@ -396,7 +470,7 @@ TEST(Telemetry, ThreadedRuntimeRecordsTrace) {
   EXPECT_EQ(reader.run().iterations, 5);
   EXPECT_EQ(reader.run().pipeline_stages, 4);
 
-  const auto iterations = reader.iterations();
+  const auto iterations = reader.read<telemetry::IterationRow>();
   ASSERT_EQ(iterations.size(), 5u);
   for (const auto& row : iterations) {
     EXPECT_GT(row.time_s, 0.0);  // measured wall-clock
@@ -404,7 +478,7 @@ TEST(Telemetry, ThreadedRuntimeRecordsTrace) {
   }
 
   // uniform{0,2,4,6,8} -> {0,3,5,6,8} re-homes layers 2 and 4 only.
-  const auto migrations = reader.migrations();
+  const auto migrations = reader.read<telemetry::MigrationRow>();
   ASSERT_EQ(migrations.size(), 2u);
   std::vector<std::int64_t> moved;  // senders race: order is thread order
   for (const auto& m : migrations) {
@@ -477,7 +551,7 @@ TEST(Telemetry, ElasticSessionRecordsTransitions) {
   ASSERT_GE(r.expands, 1);
 
   telemetry::TraceReader reader(dir);
-  const auto transitions = reader.elastic_transitions();
+  const auto transitions = reader.read<telemetry::ElasticTransitionRow>();
   int shrinks = 0, expands = 0;
   double stall_total = 0.0;
   for (const auto& t : transitions) {
@@ -508,7 +582,9 @@ TEST(Telemetry, ElasticSessionRecordsTransitions) {
   for (const auto& s : r.samples) sample_stall += s.stall_s;
   EXPECT_GE(sample_stall, stall_total);
   double row_stall = 0.0;
-  for (const auto& row : reader.iterations()) row_stall += row.stall_s;
+  for (const auto& row : reader.read<telemetry::IterationRow>()) {
+    row_stall += row.stall_s;
+  }
   EXPECT_DOUBLE_EQ(row_stall, r.restart_stall_s);
 }
 
