@@ -41,14 +41,12 @@ std::uint64_t Rng::zipf(std::uint64_t n, double s) {
 std::size_t Rng::categorical(const std::vector<double>& weights) {
   DYNMO_CHECK(!weights.empty(), "categorical over empty weights");
   double total = 0.0;
-  for (double w : weights) total += w;
-  DYNMO_CHECK(total > 0.0, "categorical weights sum to zero");
-  double r = uniform() * total;
-  for (std::size_t i = 0; i < weights.size(); ++i) {
-    r -= weights[i];
-    if (r <= 0.0) return i;
+  for (double w : weights) {
+    DYNMO_CHECK(w >= 0.0, "categorical weight " << w << " is not >= 0");
+    total += w;
   }
-  return weights.size() - 1;
+  DYNMO_CHECK(total > 0.0, "categorical weights sum to zero");
+  return categorical(weights, total);
 }
 
 }  // namespace dynmo

@@ -115,8 +115,26 @@ class Rng {
   std::uint64_t zipf(std::uint64_t n, double s);
   /// Bernoulli trial.
   bool bernoulli(double p) { return uniform() < p; }
-  /// Sample from unnormalised weights; returns index.
+  /// Sample from unnormalised non-negative weights; returns the first index
+  /// at which uniform()·Σw minus the running weight sum drops to <= 0 (the
+  /// last index if rounding never gets it there).
   std::size_t categorical(const std::vector<double>& weights);
+  /// categorical(weights) with the sum already known, for callers drawing
+  /// many times from one weight vector: `total` must be the left-to-right
+  /// sum of the (non-negative) weights and > 0; neither is checked here.
+  /// The chain is walked to the end instead of exiting early: with
+  /// non-negative weights it never rises once it reaches <= 0, so the count
+  /// of steps still above zero is the same index, found without a
+  /// data-dependent branch per draw.
+  std::size_t categorical(const std::vector<double>& weights, double total) {
+    double r = uniform() * total;
+    std::size_t above = 0;
+    for (double w : weights) {
+      r -= w;
+      above += !(r <= 0.0);
+    }
+    return above < weights.size() ? above : weights.size() - 1;
+  }
 
  private:
   static constexpr std::uint64_t rotl(std::uint64_t x, int k) {

@@ -1,10 +1,11 @@
 #include "dynamic/moe.hpp"
 
 #include <algorithm>
+#include <atomic>
 #include <cmath>
 
 #include "core/error.hpp"
-#include "core/stats.hpp"
+#include "core/thread_pool.hpp"
 
 namespace dynmo::dynamic {
 
@@ -25,6 +26,13 @@ MoeEngine::MoeEngine(const model::ModelDesc& model, MoeEngineConfig cfg)
     }
   }
   DYNMO_CHECK(!moe_layers_.empty(), "MoeEngine needs MoE blocks in the model");
+  for (std::size_t l : moe_layers_) {
+    DYNMO_CHECK(model.layers[l].num_experts > 0,
+                "MoE block " << l << " of " << model.name << " has no experts");
+  }
+  DYNMO_CHECK(cfg_.num_microbatches > 0,
+              "MoeEngine needs num_microbatches > 0, got "
+                  << cfg_.num_microbatches);
 }
 
 std::string MoeEngine::name() const {
@@ -66,33 +74,38 @@ std::vector<double> MoeEngine::expert_popularity(std::size_t layer,
   return pop;
 }
 
-std::vector<std::size_t> MoeEngine::route_tokens(std::size_t layer,
-                                                 std::int64_t iter,
-                                                 int microbatch) const {
-  const auto& desc = model_->layers[layer];
-  const std::size_t E = desc.num_experts;
-  const std::size_t k = std::max<std::size_t>(1, desc.top_k);
-  std::vector<std::size_t> counts(E, 0);
+MoeEngine::Gate MoeEngine::gate(std::size_t layer, std::int64_t iter) const {
+  Gate g;
+  if (cfg_.routing == MoeRouting::ExpertChoice) return g;  // no token choice
+  g.weights = expert_popularity(layer, iter);
+  for (double w : g.weights) g.total += w;
+  DYNMO_CHECK(g.total > 0.0, "MoE layer " << layer << " gate weights sum to "
+                                 << g.total << " at iteration " << iter);
+  return g;
+}
+
+void MoeEngine::route(std::size_t layer, std::int64_t iter, int microbatch,
+                      const Gate& gate, std::span<std::size_t> counts) const {
+  const std::size_t E = counts.size();
+  const std::size_t k = std::max<std::size_t>(1, model_->layers[layer].top_k);
 
   if (cfg_.routing == MoeRouting::ExpertChoice) {
     // Experts pick equal-size token sets: perfectly balanced.
-    const std::size_t per = cfg_.tokens_per_microbatch * k / E;
-    counts.assign(E, per);
-    return counts;
+    std::ranges::fill(counts, cfg_.tokens_per_microbatch * k / E);
+    return;
   }
 
-  const auto pop = expert_popularity(layer, iter);
+  std::ranges::fill(counts, 0);
   Rng rng(hash_mix(cfg_.seed ^ 0xab1e, layer,
                    static_cast<std::uint64_t>(iter) * 131 +
                        static_cast<std::uint64_t>(microbatch)));
-  std::vector<double> gate = pop;
   for (std::size_t t = 0; t < cfg_.tokens_per_microbatch; ++t) {
     // Token-choice: draw k distinct experts by popularity-weighted gating.
-    std::size_t first = rng.categorical(gate);
+    std::size_t first = rng.categorical(gate.weights, gate.total);
     ++counts[first];
     for (std::size_t j = 1; j < k; ++j) {
-      std::size_t e = rng.categorical(gate);
-      while (e == first) e = rng.categorical(gate);
+      std::size_t e = rng.categorical(gate.weights, gate.total);
+      while (e == first) e = rng.categorical(gate.weights, gate.total);
       ++counts[e];
     }
   }
@@ -117,6 +130,17 @@ std::vector<std::size_t> MoeEngine::route_tokens(std::size_t layer,
       }
     }
   }
+}
+
+std::vector<std::size_t> MoeEngine::route_tokens(std::size_t layer,
+                                                 std::int64_t iter,
+                                                 int microbatch) const {
+  DYNMO_CHECK(std::ranges::binary_search(moe_layers_, layer),
+              "route_tokens: layer " << layer << " is not an MoE block (model "
+                                     << model_->name << " has "
+                                     << model_->num_layers() << " layers)");
+  std::vector<std::size_t> counts(model_->layers[layer].num_experts);
+  route(layer, iter, microbatch, gate(layer, iter), counts);
   return counts;
 }
 
@@ -132,26 +156,41 @@ double MoeEngine::bottleneck_factor(std::span<const std::size_t> per_expert) {
   return mean > 0.0 ? static_cast<double>(mx) / mean : 1.0;
 }
 
-double MoeEngine::layer_load_factor(std::size_t layer, std::int64_t iter,
-                                    int microbatch) const {
-  const auto counts = route_tokens(layer, iter, microbatch);
-  return bottleneck_factor(counts);
-}
-
 void MoeEngine::step(std::int64_t iter,
                      std::span<model::LayerState> states) {
   DYNMO_CHECK(states.size() == model_->num_layers(), "state size mismatch");
-  mb_load_.assign(model_->num_layers(), {});
+  const auto M = static_cast<std::size_t>(cfg_.num_microbatches);
+  loads_.assign(model_->num_layers(), {});
+  std::vector<Gate> gates;
+  gates.reserve(moe_layers_.size());
   for (std::size_t l : moe_layers_) {
-    auto& per_mb = mb_load_[l];
-    per_mb.resize(static_cast<std::size_t>(cfg_.num_microbatches));
-    double mean = 0.0;
-    for (int mb = 0; mb < cfg_.num_microbatches; ++mb) {
-      per_mb[static_cast<std::size_t>(mb)] = layer_load_factor(l, iter, mb);
-      mean += per_mb[static_cast<std::size_t>(mb)];
+    gates.push_back(gate(l, iter));
+    loads_[l].per_mb.resize(M);
+  }
+  // Each (MoE layer, microbatch) pair seeds its own Rng stream and writes
+  // only its own slot, so the loads do not depend on thread count or on
+  // which worker takes which pair; the means below are summed serially in
+  // microbatch order.  Workers claim one pair at a time, so a worker that
+  // loses its core delays the step by one pair rather than a whole chunk.
+  auto& pool = ThreadPool::global();
+  const std::size_t pairs = moe_layers_.size() * M;
+  std::atomic<std::size_t> next{0};
+  pool.parallel_for(0, pool.size(), [&](std::size_t, std::size_t) {
+    std::vector<std::size_t> counts;
+    for (std::size_t p = next++; p < pairs; p = next++) {
+      const std::size_t i = p / M;
+      const std::size_t mb = p % M;
+      const std::size_t l = moe_layers_[i];
+      counts.resize(model_->layers[l].num_experts);
+      route(l, iter, static_cast<int>(mb), gates[i], counts);
+      loads_[l].per_mb[mb] = bottleneck_factor(counts);
     }
-    mean /= static_cast<double>(cfg_.num_microbatches);
-    states[l].moe_load = mean;
+  });
+  for (std::size_t l : moe_layers_) {
+    auto& load = loads_[l];
+    for (double v : load.per_mb) load.mean += v;
+    load.mean /= static_cast<double>(M);
+    states[l].moe_load = load.mean;
   }
   cached_iter_ = iter;
 }
@@ -161,13 +200,11 @@ pipeline::MicrobatchScaleFn MoeEngine::microbatch_scale(std::int64_t iter) {
   // Scale relative to the layer's mean load (the mean is already folded
   // into LayerState::moe_load).
   return [this](std::size_t layer, int mb) -> double {
-    if (layer >= mb_load_.size() || mb_load_[layer].empty()) return 1.0;
-    const auto& per_mb = mb_load_[layer];
-    double mean = 0.0;
-    for (double v : per_mb) mean += v;
-    mean /= static_cast<double>(per_mb.size());
-    if (mean <= 0.0) return 1.0;
-    return per_mb[static_cast<std::size_t>(mb) % per_mb.size()] / mean;
+    if (layer >= loads_.size() || loads_[layer].per_mb.empty()) return 1.0;
+    const auto& load = loads_[layer];
+    if (load.mean <= 0.0) return 1.0;
+    return load.per_mb[static_cast<std::size_t>(mb) % load.per_mb.size()] /
+           load.mean;
   };
 }
 

@@ -55,7 +55,8 @@ class MoeEngine final : public DynamismEngine {
   std::int64_t recommended_rebalance_interval() const override { return 1; }
 
   /// Per-expert token histogram for one (layer, microbatch) routing draw —
-  /// exposed for tests and the imbalance characterization bench.
+  /// exposed for tests and the imbalance characterization bench.  Throws
+  /// dynmo::Error unless `layer` is an MoE block of the model.
   std::vector<std::size_t> route_tokens(std::size_t layer, std::int64_t iter,
                                         int microbatch) const;
 
@@ -63,16 +64,32 @@ class MoeEngine final : public DynamismEngine {
   static double bottleneck_factor(std::span<const std::size_t> per_expert);
 
  private:
-  double layer_load_factor(std::size_t layer, std::int64_t iter,
-                           int microbatch) const;
+  /// One layer's gate weights at one iteration (positive by construction,
+  /// as Rng::categorical(w, total) requires) and their left-to-right sum;
+  /// every microbatch of that (layer, iter) draws from it.
+  struct Gate {
+    std::vector<double> weights;  ///< empty under ExpertChoice
+    double total = 0.0;
+  };
+  /// Load factors of one MoE layer at the cached iteration.
+  struct LayerLoad {
+    std::vector<double> per_mb;  ///< bottleneck factor per microbatch
+    double mean = 0.0;           ///< their mean, summed in microbatch order
+  };
+
   std::vector<double> expert_popularity(std::size_t layer,
                                         std::int64_t iter) const;
+  Gate gate(std::size_t layer, std::int64_t iter) const;
+  /// Routes one (layer, microbatch) pair into `counts` (one slot per
+  /// expert, overwritten).  Reads only const state, so pairs may run
+  /// concurrently.
+  void route(std::size_t layer, std::int64_t iter, int microbatch,
+             const Gate& gate, std::span<std::size_t> counts) const;
 
   const model::ModelDesc* model_;
   MoeEngineConfig cfg_;
-  std::vector<std::size_t> moe_layers_;  ///< indices of MoE blocks
-  // Cached per-(iter) microbatch load factors, refreshed in step().
-  std::vector<std::vector<double>> mb_load_;  ///< [layer][microbatch]
+  std::vector<std::size_t> moe_layers_;  ///< indices of MoE blocks, ascending
+  std::vector<LayerLoad> loads_;  ///< [layer], refreshed in step()
   std::int64_t cached_iter_ = -1;
 };
 

@@ -91,6 +91,46 @@ TEST(Rng, CategoricalRespectsWeights) {
   EXPECT_NEAR(static_cast<double>(counts[2]) / counts[0], 3.0, 0.3);
 }
 
+// The early-exit subtraction chain both categorical overloads must agree
+// with draw for draw.
+std::size_t first_nonpositive(Rng& rng, const std::vector<double>& w) {
+  double total = 0.0;
+  for (double x : w) total += x;
+  double r = rng.uniform() * total;
+  for (std::size_t i = 0; i < w.size(); ++i) {
+    r -= w[i];
+    if (r <= 0.0) return i;
+  }
+  return w.size() - 1;
+}
+
+TEST(Rng, CategoricalMatchesEarlyExitChain) {
+  Rng gen(17), ref(18), a(18), b(18);
+  for (int trial = 0; trial < 4000; ++trial) {
+    std::vector<double> w(1 + gen.uniform_int(20));
+    for (double& x : w) {
+      // Zeros, and weights spanning many magnitudes so the chain often
+      // ends within rounding of zero.
+      const int exp = -static_cast<int>(gen.uniform_int(60));
+      x = gen.bernoulli(0.3) ? 0.0 : std::ldexp(gen.uniform(), exp);
+    }
+    w[gen.uniform_int(w.size())] = gen.uniform(0.5, 1.0);  // sum > 0
+    double total = 0.0;
+    for (double x : w) total += x;
+    for (int draw = 0; draw < 8; ++draw) {
+      const std::size_t want = first_nonpositive(ref, w);
+      EXPECT_EQ(a.categorical(w), want);
+      EXPECT_EQ(b.categorical(w, total), want);
+    }
+  }
+}
+
+TEST(Rng, CategoricalRejectsNegativeWeights) {
+  Rng rng(19);
+  const std::vector<double> w = {1.0, -0.5, 2.0};
+  EXPECT_THROW((void)rng.categorical(w), Error);
+}
+
 TEST(Rng, CategoricalThrowsOnAllZero) {
   Rng rng(16);
   std::vector<double> w = {0.0, 0.0};

@@ -4,6 +4,8 @@
 
 #include <cmath>
 
+#include "core/error.hpp"
+#include "core/rng.hpp"
 #include "core/stats.hpp"
 #include "dynamic/early_exit.hpp"
 #include "dynamic/freezing.hpp"
@@ -301,6 +303,187 @@ TEST(Moe, StepSetsLoadsOnlyOnMoeBlocks) {
   const auto scale = eng.microbatch_scale(3);
   ASSERT_TRUE(static_cast<bool>(scale));
   EXPECT_GT(scale(1, 0), 0.0);
+}
+
+TEST(Moe, RejectsNonMoeLayersAndEmptyConfigs) {
+  const auto m = model::make_moe(model::mixtral_8x7b_config(), "m");
+  ASSERT_EQ(m.layers.front().kind, model::LayerKind::Embedding);
+  for (MoeRouting r : {MoeRouting::AuxLoss, MoeRouting::SBase,
+                       MoeRouting::ExpertChoice}) {
+    MoeEngineConfig cfg;
+    cfg.routing = r;
+    MoeEngine eng(m, cfg);
+    EXPECT_THROW((void)eng.route_tokens(0, 1, 0), Error) << to_string(r);
+    EXPECT_THROW((void)eng.route_tokens(m.num_layers(), 1, 0), Error)
+        << to_string(r);
+  }
+  MoeEngineConfig no_mbs;
+  no_mbs.num_microbatches = 0;
+  EXPECT_THROW(MoeEngine(m, no_mbs), Error);
+  auto no_experts_cfg = model::mixtral_8x7b_config();
+  no_experts_cfg.num_experts = 0;
+  const auto no_experts = model::make_moe(no_experts_cfg, "no-experts");
+  EXPECT_THROW(MoeEngine(no_experts, {}), Error);
+}
+
+// The serial routing loop MoeEngine replaced: popularity recomputed for
+// every (layer, microbatch) and every token drawn with the summing
+// Rng::categorical(w).  The engine's hoisted gate and parallel pairs must
+// reproduce it bit for bit.
+namespace oracle {
+
+std::vector<double> expert_popularity(const model::ModelDesc& m,
+                                      const MoeEngineConfig& cfg,
+                                      std::size_t layer, std::int64_t iter) {
+  const std::size_t E = m.layers[layer].num_experts;
+  Rng rng(hash_mix(cfg.seed, layer, 0xdecade));
+  const double layer_s =
+      cfg.popularity_zipf_s * std::exp(rng.normal(0.0, cfg.layer_skew_spread));
+  std::vector<double> pop(E);
+  for (std::size_t e = 0; e < E; ++e) {
+    pop[e] = 1.0 / std::pow(static_cast<double>(e) + 1.0, layer_s);
+  }
+  for (std::size_t e = E; e > 1; --e) {
+    std::swap(pop[e - 1], pop[rng.uniform_int(e)]);
+  }
+  Rng drift(hash_mix(cfg.seed, layer, static_cast<std::uint64_t>(iter / 50)));
+  for (double& p : pop) {
+    p *= std::exp(drift.normal(0.0, cfg.popularity_drift * 10.0));
+  }
+  const double pull =
+      1.0 - std::exp(-cfg.aux_loss_pull * static_cast<double>(iter % 10000));
+  double total = 0.0;
+  for (double p : pop) total += p;
+  const double uni = total / static_cast<double>(E);
+  const double relax = (cfg.routing == MoeRouting::AuxLoss) ? 0.6 * pull : 0.0;
+  for (double& p : pop) p = p * (1.0 - relax) + uni * relax;
+  return pop;
+}
+
+std::vector<std::size_t> route_tokens(const model::ModelDesc& m,
+                                      const MoeEngineConfig& cfg,
+                                      std::size_t layer, std::int64_t iter,
+                                      int microbatch) {
+  const std::size_t E = m.layers[layer].num_experts;
+  const std::size_t k = std::max<std::size_t>(1, m.layers[layer].top_k);
+  std::vector<std::size_t> counts(E, 0);
+  if (cfg.routing == MoeRouting::ExpertChoice) {
+    counts.assign(E, cfg.tokens_per_microbatch * k / E);
+    return counts;
+  }
+  const auto gate = expert_popularity(m, cfg, layer, iter);
+  Rng rng(hash_mix(cfg.seed ^ 0xab1e, layer,
+                   static_cast<std::uint64_t>(iter) * 131 +
+                       static_cast<std::uint64_t>(microbatch)));
+  for (std::size_t t = 0; t < cfg.tokens_per_microbatch; ++t) {
+    std::size_t first = rng.categorical(gate);
+    ++counts[first];
+    for (std::size_t j = 1; j < k; ++j) {
+      std::size_t e = rng.categorical(gate);
+      while (e == first) e = rng.categorical(gate);
+      ++counts[e];
+    }
+  }
+  if (cfg.routing == MoeRouting::SBase) {
+    const std::size_t total = cfg.tokens_per_microbatch * k;
+    const std::size_t cap = (total + E - 1) / E;
+    std::size_t overflow = 0;
+    for (auto& c : counts) {
+      if (c > cap) {
+        overflow += c - cap;
+        c = cap;
+      }
+    }
+    for (std::size_t e = 0; overflow > 0; e = (e + 1) % E) {
+      if (counts[e] < cap) {
+        ++counts[e];
+        --overflow;
+      }
+    }
+  }
+  return counts;
+}
+
+/// Per-microbatch load factors of every layer (empty for non-MoE layers).
+std::vector<std::vector<double>> step(const model::ModelDesc& m,
+                                      const MoeEngineConfig& cfg,
+                                      std::int64_t iter) {
+  std::vector<std::vector<double>> per_mb(m.num_layers());
+  for (std::size_t l = 0; l < m.num_layers(); ++l) {
+    if (m.layers[l].kind != model::LayerKind::MoeTransformerBlock) continue;
+    for (int mb = 0; mb < cfg.num_microbatches; ++mb) {
+      per_mb[l].push_back(MoeEngine::bottleneck_factor(
+          route_tokens(m, cfg, l, iter, mb)));
+    }
+  }
+  return per_mb;
+}
+
+double mean(const std::vector<double>& v) {
+  double s = 0.0;
+  for (double x : v) s += x;
+  return s / static_cast<double>(v.size());
+}
+
+double microbatch_scale(const std::vector<double>& per_mb, int mb) {
+  if (per_mb.empty()) return 1.0;
+  const double mu = mean(per_mb);
+  if (mu <= 0.0) return 1.0;
+  return per_mb[static_cast<std::size_t>(mb) % per_mb.size()] / mu;
+}
+
+}  // namespace oracle
+
+TEST(Moe, HoistedParallelRoutingMatchesSerialOracle) {
+  const std::vector<model::ModelDesc> models = {
+      model::make_moe(model::mixtral_8x7b_config(), "mixtral"),  // E=8, k=2
+      model::make_moe(model::llama_moe_3_5b_config(), "llama-moe")};  // 16, 4
+  // Crosses the iter/50 drift boundary and the iter%10000 pull wrap.
+  const std::int64_t iters[] = {0, 49, 50, 9999, 10000, 10051};
+  for (const auto& m : models) {
+    for (MoeRouting r : {MoeRouting::AuxLoss, MoeRouting::SBase,
+                         MoeRouting::ExpertChoice}) {
+      MoeEngineConfig cfg;
+      cfg.routing = r;
+      cfg.tokens_per_microbatch = 96;
+      cfg.num_microbatches = 5;  // not a power of two: exercises the
+                                 // pair index → (layer, mb) decoding
+      MoeEngine eng(m, cfg);
+      for (std::int64_t it : iters) {
+        SCOPED_TRACE(m.name + " " + to_string(r) + " iter " +
+                     std::to_string(it));
+        const auto want = oracle::step(m, cfg, it);
+        std::vector<model::LayerState> st(m.num_layers());
+        eng.step(it, st);
+        const auto scale = eng.microbatch_scale(it);
+        std::vector<double> scales;
+        for (std::size_t l = 0; l < m.num_layers(); ++l) {
+          EXPECT_EQ(st[l].moe_load, want[l].empty()
+                                        ? model::LayerState{}.moe_load
+                                        : oracle::mean(want[l]));
+          for (int mb = 0; mb < cfg.num_microbatches; ++mb) {
+            EXPECT_EQ(scale(l, mb), oracle::microbatch_scale(want[l], mb));
+            scales.push_back(scale(l, mb));
+            if (!want[l].empty()) {
+              EXPECT_EQ(eng.route_tokens(l, it, mb),
+                        oracle::route_tokens(m, cfg, l, it, mb));
+            }
+          }
+        }
+        // Stepping the same iteration again reproduces every value.
+        std::vector<model::LayerState> again(m.num_layers());
+        eng.step(it, again);
+        const auto scale_again = eng.microbatch_scale(it);
+        std::size_t i = 0;
+        for (std::size_t l = 0; l < m.num_layers(); ++l) {
+          EXPECT_EQ(again[l].moe_load, st[l].moe_load);
+          for (int mb = 0; mb < cfg.num_microbatches; ++mb) {
+            EXPECT_EQ(scale_again(l, mb), scales[i++]);
+          }
+        }
+      }
+    }
+  }
 }
 
 // -------------------------------------------------------------------- MoD
