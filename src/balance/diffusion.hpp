@@ -7,9 +7,16 @@
 //     φ(r) = Σ_{u,v} |x_u(r) − x_v(r)|
 // which the lemma proves monotonically non-increasing and γ-convergent in
 // O(N² log(SN/γ) log N) rounds.  This implementation runs the protocol's
-// rounds centrally (each round only uses neighbor-local information, so a
-// per-rank implementation exchanges the same data over the communicator —
-// see balance::distributed_diffusion_round for that path).
+// rounds centrally; each round only uses neighbor-local information, so a
+// per-rank implementation would exchange the same data with its neighbors.
+//
+// φ is computed in O(S) per round from the stages kept in ascending order of
+// x (insertion sort after each round that moved a layer; a round that moved
+// nothing leaves φ as it was): the gap between the k-th and (k+1)-th
+// smallest x lies inside (k+1)(S−1−k) pairs.  Among rounds with the same
+// bottleneck (within 1e-15) the placement with the lower φ is kept, so two
+// such placements whose φ differ only by rounding may be told apart
+// differently than by the pairwise sum.
 #pragma once
 
 #include <vector>
@@ -49,7 +56,10 @@ class DiffusionBalancer {
   DiffusionResult balance(const DiffusionRequest& req,
                           const pipeline::StageMap& start) const;
 
-  /// φ(r) = Σ over *all pairs* of |x_u − x_v| (the lemma's potential).
+  /// φ(r) = Σ over *all pairs* of |x_u − x_v| (the lemma's potential),
+  /// computed as Σ_k (x₍ₖ₊₁₎ − x₍ₖ₎)·(k+1)·(S−1−k) over a sorted copy in
+  /// O(S log S).  Every term is non-negative, and the value depends only on
+  /// the multiset of loads, never on their order.
   static double potential(std::span<const double> loads);
 
   /// The Lemma-2 round bound ~ 60·N²·ln(2N)·ln(S·N²/γ) for this instance.

@@ -22,9 +22,13 @@ double Rng::lognormal(double mu, double sigma) {
 
 std::uint64_t Rng::zipf(std::uint64_t n, double s) {
   DYNMO_CHECK(n > 0, "zipf over empty support");
+  DYNMO_CHECK(zipf_exponent_ok(s),
+              "zipf exponent " << s << " is not finite, <= 0 or > 1");
   if (s <= 0.0) return uniform_int(n);
   // Inverse-CDF by rejection (Devroye).  Fine for the n (<= few thousand
-  // experts/buckets) we use; exactness matters more than speed here.
+  // experts/buckets) we use; exactness matters more than speed here.  The
+  // sampler needs s > 1: at s = 1 its bound b − 1 is 0, and below 1 the
+  // proposal floor(u^(1/(1−s))) is always 0, so every draw is rejected.
   const double b = std::pow(2.0, s - 1.0);
   for (;;) {
     const double u = uniform();

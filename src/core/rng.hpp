@@ -7,6 +7,7 @@
 // worker / layer / iteration can derive an independent stream.
 #pragma once
 
+#include <cmath>
 #include <cstdint>
 #include <limits>
 #include <vector>
@@ -110,9 +111,15 @@ class Rng {
   double normal(double mean, double stddev) { return mean + stddev * normal(); }
   /// Log-normal such that the underlying normal is N(mu, sigma).
   double lognormal(double mu, double sigma);
-  /// Zipf-distributed integer in [0, n) with exponent `s` (s=0 → uniform).
-  /// Used to model skewed token→expert routing.
+  /// Zipf-distributed integer in [0, n) with exponent `s` (s <= 0 →
+  /// uniform).  Used to model skewed hash-bucket popularity.  Throws
+  /// dynmo::Error unless zipf_exponent_ok(s).
   std::uint64_t zipf(std::uint64_t n, double s);
+  /// The exponents zipf() samples: finite and either <= 0 or > 1 (its
+  /// rejection sampler never accepts for 0 < s <= 1).
+  static bool zipf_exponent_ok(double s) {
+    return std::isfinite(s) && (s <= 0.0 || s > 1.0);
+  }
   /// Bernoulli trial.
   bool bernoulli(double p) { return uniform() < p; }
   /// Sample from unnormalised non-negative weights; returns the first index

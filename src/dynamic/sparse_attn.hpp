@@ -12,6 +12,7 @@
 // cost then follows the paper's §2.4 model (load = s_i(k) · c_i).
 #pragma once
 
+#include <limits>
 #include <vector>
 
 #include "core/rng.hpp"
@@ -49,9 +50,22 @@ class SparseAttnEngine final : public DynamismEngine {
   double layer_density(std::size_t layer, std::int64_t iter) const;
 
  private:
+  /// What one hash epoch (the iterations between two re-draws of the hash
+  /// functions) fixes for a layer.
+  struct HashEpoch {
+    std::int64_t epoch = std::numeric_limits<std::int64_t>::min();
+    double causal_frac = 0.0;  ///< same-bucket share of causal tile pairs
+    double slow = 0.0;         ///< the epoch's slow log-density jitter
+  };
+  HashEpoch epoch_draw(std::size_t layer, std::int64_t epoch) const;
+  /// The density at `iter`, given the epoch `iter` falls in.
+  double compose(std::size_t layer, std::int64_t iter,
+                 const HashEpoch& e) const;
+
   const model::ModelDesc* model_;
   SparseAttnEngineConfig cfg_;
   std::vector<double> layer_bias_;  ///< per-layer mean log-density offset
+  std::vector<HashEpoch> epochs_;   ///< step()'s last epoch per layer
 };
 
 }  // namespace dynmo::dynamic

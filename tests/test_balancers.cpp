@@ -5,8 +5,12 @@
 // converges within the Lemma-2 round bound.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <bit>
 #include <cmath>
+#include <cstdint>
 #include <numeric>
+#include <sstream>
 
 #include "core/error.hpp"
 
@@ -14,6 +18,7 @@
 #include "balance/partition.hpp"
 #include "core/rng.hpp"
 #include "core/stats.hpp"
+#include "diffusion_oracle.hpp"
 
 namespace dynmo::balance {
 namespace {
@@ -207,6 +212,144 @@ TEST(Diffusion, EscapesGapGreedyLocalOptimum) {
   const auto start_loads = start.stage_loads(w);
   const auto end_loads = res.map.stage_loads(w);
   EXPECT_LT(load_imbalance(end_loads), 0.5 * load_imbalance(start_loads));
+}
+
+TEST(Diffusion, RejectsNonFiniteWeights) {
+  DiffusionRequest req;
+  req.weights = {1.0, std::nan(""), 1.0, 1.0};
+  const auto start = pipeline::StageMap::uniform(4, 2);
+  EXPECT_THROW((void)DiffusionBalancer{}.balance(req, start), Error);
+  req.weights[1] = HUGE_VAL;
+  EXPECT_THROW((void)DiffusionBalancer{}.balance(req, start), Error);
+}
+
+bool close_rel(double a, double b, double rel) {
+  return std::abs(a - b) <= rel * std::max(std::abs(a), std::abs(b));
+}
+
+TEST(Diffusion, SortedPotentialMatchesPairwiseSum) {
+  Rng rng(0xf1);
+  for (int trial = 0; trial < 400; ++trial) {
+    const auto n = 1 + rng.uniform_int(200);
+    std::vector<double> x(n);
+    const bool integer = trial % 2 == 0;
+    for (auto& v : x) {
+      v = integer ? static_cast<double>(rng.uniform_int(1000))
+                  : rng.uniform(0.0, 10.0) * std::pow(10.0, rng.uniform(-3, 3));
+    }
+    const double pairwise = testing::pairwise_potential(x);
+    const double phi = DiffusionBalancer::potential(x);
+    if (integer) {
+      EXPECT_EQ(phi, pairwise) << "trial " << trial;  // every sum is exact
+    } else {
+      EXPECT_TRUE(close_rel(phi, pairwise, 1e-12))
+          << "trial " << trial << ": " << phi << " vs " << pairwise;
+    }
+    // A function of the multiset: any order gives the same bits.
+    for (int shuffle = 0; shuffle < 3; ++shuffle) {
+      for (std::size_t i = n; i > 1; --i) {
+        std::swap(x[i - 1], x[rng.uniform_int(i)]);
+      }
+      EXPECT_EQ(std::bit_cast<std::uint64_t>(DiffusionBalancer::potential(x)),
+                std::bit_cast<std::uint64_t>(phi))
+          << "trial " << trial;
+    }
+  }
+  EXPECT_EQ(DiffusionBalancer::potential(std::vector<double>{}), 0.0);
+  EXPECT_EQ(DiffusionBalancer::potential(std::vector<double>{7.5}), 0.0);
+}
+
+// One seeded case of the differential corpus.
+struct DiffusionCase {
+  DiffusionRequest req;
+  pipeline::StageMap start;
+};
+
+DiffusionCase random_diffusion_case(Rng& rng, int index) {
+  const int S = 2 + static_cast<int>(rng.uniform_int(63));  // 2..64
+  const auto per_stage = 1 + rng.uniform_int(6);           // 1..6
+  const std::size_t L = static_cast<std::size_t>(S) * per_stage;
+  DiffusionCase c;
+  auto& w = c.req.weights;
+  w.resize(L);
+  for (auto& x : w) {
+    switch (index % 5) {
+      case 0: x = rng.uniform(0.1, 2.0); break;
+      case 1: x = static_cast<double>(1 + rng.uniform_int(9)); break;
+      case 2: x = 1.0; break;
+      case 3: x = 0.1 * static_cast<double>(1 + rng.uniform_int(20)); break;
+      default: x = 1e-3 * rng.uniform(0.5, 1.5); break;
+    }
+  }
+  if (rng.uniform() < 0.25) {
+    c.req.capacities.resize(static_cast<std::size_t>(S));
+    for (auto& cap : c.req.capacities) cap = rng.uniform(0.5, 2.0);
+  }
+  if (rng.uniform() < 0.25) {
+    c.req.memory_bytes.resize(L);
+    for (auto& m : c.req.memory_bytes) m = rng.uniform(1.0, 3.0);
+    // Room for one to three layers above the mean stage.
+    c.req.mem_capacity =
+        3.0 * static_cast<double>(per_stage) + rng.uniform(1.0, 9.0);
+  }
+  // Random start map, empty stages allowed.
+  std::vector<std::size_t> b(static_cast<std::size_t>(S) + 1, 0);
+  for (int s = 1; s < S; ++s) {
+    b[static_cast<std::size_t>(s)] = rng.uniform_int(L + 1);
+  }
+  b.back() = L;
+  std::sort(b.begin(), b.end());
+  c.start = pipeline::StageMap::from_boundaries(std::move(b));
+  return c;
+}
+
+std::vector<double> normalized_loads(const DiffusionRequest& req,
+                                     const pipeline::StageMap& map) {
+  auto x = map.stage_loads(req.weights);
+  for (std::size_t s = 0; s < x.size() && !req.capacities.empty(); ++s) {
+    x[s] /= req.capacities[s];
+  }
+  return x;
+}
+
+TEST(Diffusion, MatchesPairwiseOracleOnSeededCorpus) {
+  // The balancer must replay the first-written protocol (pairwise φ twice
+  // per round) round for round.  The returned map may differ only where
+  // two placements tie on the bottleneck and their φ differ by rounding.
+  constexpr int kCases = 3000;
+  Rng rng(0xd1ff);
+  int tie_breaks = 0;
+  for (int i = 0; i < kCases; ++i) {
+    const auto c = random_diffusion_case(rng, i);
+    const auto got = DiffusionBalancer{}.balance(c.req, c.start);
+    const auto want = testing::diffusion_oracle(c.req, c.start);
+    std::ostringstream where;
+    where << "case " << i << ": " << c.start.num_stages() << " stages, "
+          << c.req.weights.size() << " layers";
+    ASSERT_EQ(got.rounds, want.rounds) << where.str();
+    ASSERT_EQ(got.layer_moves, want.layer_moves) << where.str();
+    ASSERT_EQ(got.converged, want.converged) << where.str();
+    ASSERT_EQ(got.phi_history.size(), want.phi_history.size()) << where.str();
+    for (std::size_t r = 0; r < got.phi_history.size(); ++r) {
+      ASSERT_TRUE(close_rel(got.phi_history[r], want.phi_history[r], 1e-12))
+          << where.str() << ", round " << r << ": " << got.phi_history[r]
+          << " vs " << want.phi_history[r];
+    }
+    if (got.map == want.map) continue;
+    ++tie_breaks;
+    const auto x = normalized_loads(c.req, got.map);
+    const auto y = normalized_loads(c.req, want.map);
+    const double bx = *std::max_element(x.begin(), x.end());
+    const double by = *std::max_element(y.begin(), y.end());
+    ASSERT_EQ(std::bit_cast<std::uint64_t>(bx), std::bit_cast<std::uint64_t>(by))
+        << where.str();
+    ASSERT_TRUE(close_rel(testing::pairwise_potential(x),
+                          testing::pairwise_potential(y), 1e-12))
+        << where.str();
+  }
+  RecordProperty("tie_breaks", tie_breaks);
+  // Rounding ties are rare; a flood of them would mean the tie-break moved.
+  EXPECT_LT(tie_breaks, kCases / 20);
 }
 
 TEST(Diffusion, Lemma2BoundGrowsWithN) {

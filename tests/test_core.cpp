@@ -2,7 +2,9 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <limits>
 #include <set>
+#include <vector>
 
 #include "core/error.hpp"
 #include "core/log.hpp"
@@ -80,6 +82,45 @@ TEST(Rng, ZipfZeroExponentIsUniformish) {
   std::vector<int> counts(8, 0);
   for (int i = 0; i < 40000; ++i) ++counts[rng.zipf(8, 0.0)];
   for (int c : counts) EXPECT_NEAR(c, 5000, 600);
+}
+
+TEST(Rng, ZipfRejectsExponentsItCannotSample) {
+  // Devroye's rejection sampler needs s > 1: for 0 < s <= 1 it rejected
+  // every proposal and never returned.
+  Rng rng(16);
+  for (double s : {1.0, 0.8, 0.5, 1e-300,
+                   std::numeric_limits<double>::quiet_NaN(),
+                   std::numeric_limits<double>::infinity(),
+                   -std::numeric_limits<double>::infinity()}) {
+    EXPECT_THROW((void)rng.zipf(16, s), Error) << "s = " << s;
+    EXPECT_FALSE(Rng::zipf_exponent_ok(s)) << "s = " << s;
+  }
+  for (double s : {-0.5, 0.0, 1.0 + 1e-9, 1.1, 3.0}) {
+    EXPECT_TRUE(Rng::zipf_exponent_ok(s)) << "s = " << s;
+  }
+}
+
+TEST(Rng, ZipfStreamsAreUnchangedForSamplableExponents) {
+  // Draws recorded before exponents in (0, 1] were rejected: the check
+  // must not shift the stream for s > 1 or s <= 0.
+  const auto draws = [](double s) {
+    Rng rng(0x21f);
+    std::vector<std::uint64_t> out;
+    for (int i = 0; i < 16; ++i) out.push_back(rng.zipf(16, s));
+    out.push_back(rng());
+    return out;
+  };
+  EXPECT_EQ(draws(1.2),
+            (std::vector<std::uint64_t>{0, 6, 2, 3, 2, 0, 5, 0, 0, 1, 1, 0, 1,
+                                        3, 3, 0, 14033163014994160682ULL}));
+  EXPECT_EQ(draws(3.0),
+            (std::vector<std::uint64_t>{0, 2, 0, 0, 0, 0, 2, 0, 0, 2, 1, 0, 0,
+                                        0, 1, 0, 16259299777572705529ULL}));
+  const std::vector<std::uint64_t> uniform{
+      14, 11, 1, 0, 10, 10, 4, 15, 12, 11, 11, 10, 1, 8, 12, 14,
+      8511749309337819355ULL};
+  EXPECT_EQ(draws(0.0), uniform);
+  EXPECT_EQ(draws(-0.5), uniform);
 }
 
 TEST(Rng, CategoricalRespectsWeights) {

@@ -196,6 +196,111 @@ TEST(SparseAttn, StepWritesComputeScale) {
   EXPECT_LT(mean, 0.8);
 }
 
+// The density as first written: every (layer, iter) re-draws its epoch's
+// tiles and counts same-bucket causal pairs one by one.
+double density_oracle(const model::ModelDesc& m,
+                      const SparseAttnEngineConfig& cfg, std::size_t layer,
+                      std::int64_t iter) {
+  const auto kind = m.layers[layer].kind;
+  if (kind != model::LayerKind::TransformerBlock &&
+      kind != model::LayerKind::MoeTransformerBlock) {
+    return 0.5;
+  }
+  Rng bias_rng(hash_mix(cfg.seed, 0x5a77));
+  double bias = 0.0;
+  for (std::size_t l = 0; l <= layer; ++l) {
+    bias = bias_rng.normal(0.0, cfg.layer_spread);
+  }
+  Rng rng(hash_mix(cfg.seed ^ 0xa77e, layer,
+                   static_cast<std::uint64_t>(iter / 25)));
+  std::vector<int> bucket(static_cast<std::size_t>(cfg.blocks_per_seq));
+  for (auto& b : bucket) {
+    b = static_cast<int>(rng.zipf(static_cast<std::uint64_t>(cfg.num_buckets),
+                                  cfg.bucket_zipf_s));
+  }
+  std::int64_t same = 0;
+  std::int64_t total = 0;
+  for (std::size_t q = 0; q < bucket.size(); ++q) {
+    for (std::size_t k = 0; k <= q; ++k) {
+      ++total;
+      if (bucket[q] == bucket[k]) ++same;
+    }
+  }
+  const double causal_frac =
+      static_cast<double>(same) / static_cast<double>(total);
+  Rng fast(hash_mix(cfg.seed ^ 0xfa50, layer,
+                    static_cast<std::uint64_t>(iter)));
+  const double jitter = std::exp(rng.normal(0.0, cfg.iteration_jitter) +
+                                 bias + fast.normal(0.0, 0.05));
+  return std::clamp(0.5 * causal_frac * jitter, cfg.min_density, 0.5);
+}
+
+TEST(SparseAttn, CachedStepMatchesLayerDensityAndOracle) {
+  // Embedding and head are non-attention layers step() leaves alone.
+  const auto m = model::make_gpt({.num_blocks = 12});
+  SparseAttnEngineConfig cfg;
+  cfg.blocks_per_seq = 37;
+  SparseAttnEngine eng(m, cfg);
+  std::vector<std::int64_t> iters;
+  for (std::int64_t it = 0; it <= 130; ++it) iters.push_back(it);
+  // Backward jumps, within and across epochs, and revisits.
+  for (std::int64_t it : {130, 126, 124, 99, 100, 25, 24, 0, 75, 74, 130}) {
+    iters.push_back(it);
+  }
+  std::vector<model::LayerState> st(m.num_layers());
+  for (std::int64_t it : iters) {
+    for (auto& s : st) s.compute_scale = -1.0;
+    eng.step(it, st);
+    for (std::size_t l = 0; l < m.num_layers(); ++l) {
+      const double d = eng.layer_density(l, it);
+      EXPECT_EQ(d, density_oracle(m, cfg, l, it)) << "layer " << l
+                                                   << " iter " << it;
+      const auto kind = m.layers[l].kind;
+      if (kind == model::LayerKind::TransformerBlock) {
+        EXPECT_EQ(st[l].compute_scale, d / 0.5) << "layer " << l << " iter "
+                                                << it;
+      } else {
+        EXPECT_EQ(st[l].compute_scale, -1.0) << "layer " << l;
+      }
+    }
+  }
+}
+
+TEST(SparseAttn, RejectsConfigsItCannotSimulate) {
+  const auto m = gpt(4);
+  const auto with = [](auto edit) {
+    SparseAttnEngineConfig cfg;
+    edit(cfg);
+    return cfg;
+  };
+  const std::vector<SparseAttnEngineConfig> bad = {
+      with([](auto& c) { c.num_buckets = 1; }),
+      with([](auto& c) { c.blocks_per_seq = 0; }),
+      with([](auto& c) { c.blocks_per_seq = -3; }),
+      with([](auto& c) { c.min_density = 0.0; }),
+      with([](auto& c) { c.min_density = -0.1; }),
+      with([](auto& c) { c.min_density = 0.6; }),
+      with([](auto& c) { c.min_density = std::nan(""); }),
+      with([](auto& c) { c.bucket_zipf_s = 1.0; }),
+      with([](auto& c) { c.bucket_zipf_s = 0.5; }),
+      with([](auto& c) { c.bucket_zipf_s = std::nan(""); }),
+      with([](auto& c) { c.bucket_zipf_s = HUGE_VAL; }),
+  };
+  for (std::size_t i = 0; i < bad.size(); ++i) {
+    EXPECT_THROW({ SparseAttnEngine eng(m, bad[i]); }, Error) << "config " << i;
+  }
+  // Boundary values that stay valid: uniform buckets and a dense floor.
+  for (const auto& cfg : {with([](auto& c) { c.bucket_zipf_s = 0.0; }),
+                          with([](auto& c) { c.bucket_zipf_s = -1.0; }),
+                          with([](auto& c) { c.min_density = 0.5; }),
+                          with([](auto& c) { c.blocks_per_seq = 1; })}) {
+    SparseAttnEngine eng(m, cfg);
+    const double d = eng.layer_density(0, 7);
+    EXPECT_GE(d, cfg.min_density);
+    EXPECT_LE(d, 0.5);
+  }
+}
+
 // ------------------------------------------------------------- early exit
 
 TEST(EarlyExit, SurvivalMonotoneInDepth) {
