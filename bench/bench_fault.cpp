@@ -61,7 +61,7 @@ runtime::SessionResult run_one(const model::ModelDesc& m,
     cfg.telemetry.dir =
         std::string(g_trace_dir) + "/" + bench::trace_slug(label);
   }
-  repack::MockEckCluster eck(cfg.pipeline_stages);
+  repack::MockEckCluster eck;
   cfg.elastic.cluster = &eck;
   runtime::TrainingSession session(m, cfg, nullptr);
   return session.run();

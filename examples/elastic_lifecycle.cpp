@@ -67,7 +67,7 @@ int main() {
   cfg.elastic.payoff_window_iters = 600.0;
   cfg.elastic.restart_alpha_s = 0.5;
   cfg.elastic.checkpoint_bw = 16.0 * 1024 * 1024 * 1024;
-  repack::MockEckCluster eck(/*total_gpus=*/8);
+  repack::MockEckCluster eck;
   cfg.elastic.cluster = &eck;
 
   SpikeEngine engine(/*lull_begin=*/1000, /*lull_end=*/2000,

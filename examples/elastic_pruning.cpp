@@ -53,7 +53,7 @@ int main() {
               result.repack_count, 100.0 * result.overhead_fraction);
 
   // Release the freed GPUs through the ECK-style job-manager protocol.
-  repack::MockEckCluster cluster(/*total_gpus=*/8);
+  repack::MockEckCluster cluster;
   repack::JobManagerClient pod(&cluster, "dynmo-train", 8);
   const int still_needed = static_cast<int>(
       result.final_map.active_stages());

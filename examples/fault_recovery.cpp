@@ -74,7 +74,7 @@ int main() {
     cfg.elastic.checkpoint_bw = 2.0 * 1024 * 1024 * 1024;
     cfg.fault.losses = {{.iter = 450, .worker = 3}};
     cfg.checkpoint_interval_iters = cadence;
-    repack::MockEckCluster eck(cfg.pipeline_stages);
+    repack::MockEckCluster eck;
     cfg.elastic.cluster = &eck;
     runtime::TrainingSession session(m, cfg, nullptr);
     return session.run();

@@ -3,9 +3,10 @@
 // 1. Record — run a continually-training MoE pipeline (DynMo/Diffusion on
 //    two simulated DGX-H100 nodes) with SessionConfig::telemetry pointed
 //    at a trace directory.
-// 2. Discover — open the trace with telemetry::TraceReader and list what
+// 2. Discover — open the trace with telemetry::TraceReader, list what
 //    the catalog declares (tools/query_trace.py does the same from the
-//    shell).
+//    shell), and read every table back into its typed rows: each count
+//    must match the catalog.
 // 3. Replay, same configuration — balance::replay() over the recorded
 //    per-layer loads must reproduce the session's per-iteration bottleneck
 //    sequence bit-for-bit (the exit code enforces it; CI runs this).
@@ -16,8 +17,11 @@
 // Build & run:
 //   cmake -B build -G Ninja -DDYNMO_BUILD_EXAMPLES=ON && cmake --build build
 //   ./build/example_trace_replay [trace-dir]
+#include <array>
 #include <cstdio>
 #include <string>
+#include <tuple>
+#include <utility>
 
 #include "balance/replay.hpp"
 #include "dynmo/dynmo.hpp"
@@ -31,6 +35,15 @@ void print_arm(const char* name, const balance::ReplayResult& r) {
   std::printf("%-26s %14.3f %9d %9d %11.1f %11.1f\n", name,
               r.total_bottleneck_s, r.maps_accepted, r.maps_rejected_payoff,
               r.migration_bytes / 1e6, r.migration_bytes_avoided / 1e6);
+}
+
+/// Rows read back from each table through TraceReader::read<Row>(), in
+/// table_specs() order.
+template <std::size_t... I>
+std::array<std::size_t, telemetry::kNumTables> read_back(
+    const telemetry::TraceReader& reader, std::index_sequence<I...>) {
+  return {reader.read<std::tuple_element_t<I, telemetry::TraceRows>>()
+              .size()...};
 }
 
 }  // namespace
@@ -68,9 +81,17 @@ int main(int argc, char** argv) {
   telemetry::TraceReader reader(dir);
   std::printf("catalog (%s v%d):\n", reader.catalog().format.c_str(),
               reader.catalog().schema_version);
+  const auto rows_read = read_back(
+      reader, std::make_index_sequence<telemetry::kNumTables>{});
+  int unread = 0;
   for (const auto& t : reader.catalog().tables) {
-    std::printf("  %-22s %6lld rows  (%s)\n", t.name.c_str(),
-                static_cast<long long>(t.rows), t.file.c_str());
+    const auto index = static_cast<std::size_t>(
+        &telemetry::table_spec(t.name) - telemetry::table_specs().data());
+    const bool ok = rows_read[index] == static_cast<std::size_t>(t.rows);
+    unread += ok ? 0 : 1;
+    std::printf("  %-22s %6lld rows  (%s)%s\n", t.name.c_str(),
+                static_cast<long long>(t.rows), t.file.c_str(),
+                ok ? "" : "  READ-BACK MISMATCH");
   }
   std::printf("\n");
 
@@ -128,5 +149,5 @@ int main(int argc, char** argv) {
                        1.0),
               (base.migration_bytes - hier.migration_bytes) / 1e6);
 
-  return mismatches == 0 ? 0 : 1;
+  return mismatches == 0 && unread == 0 ? 0 : 1;
 }

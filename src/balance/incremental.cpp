@@ -180,17 +180,6 @@ std::size_t CostSurface::sync(const pipeline::StageMap& map,
   return count;
 }
 
-void CostSurface::set_layer(std::size_t layer, double weight, double time_s,
-                            double mem_bytes) {
-  DYNMO_CHECK(!overlay_, "set_layer() with an uncommitted candidate overlay");
-  DYNMO_CHECK(layer < w_.size(), "layer " << layer << " out of range");
-  w_[layer] = weight;
-  t_[layer] = time_s;
-  m_[layer] = mem_bytes;
-  recompute_stage(static_cast<std::size_t>(map_.stage_of(layer)),
-                  map_.boundaries());
-}
-
 double CostSurface::bottleneck_w_full_rescan() const {
   auto loads = map_.stage_loads(w_);
   if (!caps_.empty()) {

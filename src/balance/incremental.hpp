@@ -124,10 +124,6 @@ class CostSurface {
                    std::span<const double> mem_bytes,
                    std::span<const double> capacities);
 
-  /// Point update of one layer's terms (test/bench drivers); O(log S).
-  void set_layer(std::size_t layer, double weight, double time_s,
-                 double mem_bytes);
-
   const pipeline::StageMap& map() const { return map_; }
   /// Cached per-stage sums (identical values to map().stage_loads(...)).
   std::span<const double> stage_loads_w() const { return sum_w_; }

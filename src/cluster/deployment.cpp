@@ -3,8 +3,6 @@
 #include <algorithm>
 #include <limits>
 #include <map>
-#include <numeric>
-#include <sstream>
 #include <utility>
 
 #include "core/error.hpp"
@@ -62,16 +60,6 @@ Deployment Deployment::make_topology_aware(Topology topo, int num_stages,
   return make(std::move(topo), std::move(placement.stage_to_rank));
 }
 
-Deployment Deployment::make_linear(Topology topo, int num_stages) {
-  DYNMO_CHECK(num_stages > 0, "a deployment needs at least one stage");
-  DYNMO_CHECK(topo.num_ranks() >= num_stages,
-              "topology has " << topo.num_ranks() << " ranks, deployment "
-                              << "needs " << num_stages);
-  std::vector<int> s2r(static_cast<std::size_t>(num_stages));
-  std::iota(s2r.begin(), s2r.end(), 0);
-  return make(std::move(topo), std::move(s2r));
-}
-
 Deployment Deployment::make_grid_topology_aware(Topology topo,
                                                 int data_parallel,
                                                 int num_stages,
@@ -96,11 +84,6 @@ std::span<const int> Deployment::stage_to_rank(int dp) const {
               "bad DP replica " << dp << " (deployment has " << dp_ << ")");
   return std::span<const int>(grid_).subspan(
       static_cast<std::size_t>(dp * pp_), static_cast<std::size_t>(pp_));
-}
-
-Deployment Deployment::replica(int dp) const {
-  const auto view = stage_to_rank(dp);
-  return Deployment(topo_, 1, std::vector<int>(view.begin(), view.end()));
 }
 
 Deployment Deployment::prefix(int num_stages) const {
@@ -205,22 +188,8 @@ double Deployment::min_mem_capacity() const {
   return cap;
 }
 
-bool Deployment::heterogeneous() const {
-  const auto cap = stage_capacities();
-  return std::any_of(cap.begin(), cap.end(),
-                     [&](double c) { return c != cap.front(); });
-}
-
 comm::CostModel Deployment::make_cost_model(comm::CostModelConfig base) const {
   return topo_->make_cost_model(base);
-}
-
-std::string Deployment::to_string() const {
-  std::ostringstream os;
-  if (dp_ > 1) os << dp_ << "x";
-  os << pp_ << " stages on " << topo_->to_string() << "; placement";
-  for (int r : grid_) os << " " << r;
-  return os.str();
 }
 
 }  // namespace dynmo::cluster

@@ -29,14 +29,12 @@
 //
 // Single-stage accessors (gpu, node, link, stage_capacities, ...) read the
 // dp = 0 replica — the canonical pipeline view every pre-grid call site
-// keeps consuming; replica(d) materializes any other replica as its own
-// dp = 1 Deployment.
+// keeps consuming; stage_to_rank(d) gives any other replica's placement.
 #pragma once
 
 #include <cstddef>
 #include <memory>
 #include <span>
-#include <string>
 #include <vector>
 
 #include "cluster/placement.hpp"
@@ -56,8 +54,6 @@ class Deployment {
   static Deployment make_topology_aware(
       Topology topo, int num_stages,
       std::size_t activation_bytes = kDefaultActivationBytes);
-  /// Stage s → rank s.
-  static Deployment make_linear(Topology topo, int num_stages);
 
   /// Bind an explicit DP×PP grid: grid_to_rank[(d, s)] at
   /// [d * num_stages + s] (num_stages derived from the vector's size).
@@ -84,9 +80,6 @@ class Deployment {
   std::span<const int> stage_to_rank() const { return stage_to_rank(0); }
   /// The whole grid, replica-major.
   std::span<const int> grid_to_rank() const { return grid_; }
-  /// Replica dp as its own single-pipeline Deployment (shares the
-  /// topology) — the view to hand pre-grid consumers for replicas > 0.
-  Deployment replica(int dp) const;
   /// The leading `num_stages` stages of every replica as their own
   /// Deployment (shares the topology).  This is the deployment of the
   /// surviving/acquired ranks across an elastic shrink or expand: packing
@@ -126,14 +119,10 @@ class Deployment {
   /// Smallest device memory across the whole grid — the conservative
   /// per-worker cap re-packing and balancing enforce.
   double min_mem_capacity() const;
-  /// True when stages are hosted by GPUs of differing throughput (dp = 0).
-  bool heterogeneous() const;
 
   /// CostModel resolved against this deployment: shortest-path links and
   /// topology node membership (see Topology::make_cost_model).
   comm::CostModel make_cost_model(comm::CostModelConfig base = {}) const;
-
-  std::string to_string() const;
 
  private:
   Deployment(std::shared_ptr<const Topology> topo, int data_parallel,

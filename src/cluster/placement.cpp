@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <limits>
-#include <numeric>
 
 #include "core/error.hpp"
 
@@ -85,33 +84,6 @@ std::vector<int> greedy_chain(const Topology& topo, int count,
 }
 
 }  // namespace
-
-Placement place_linear(const Topology& topo, int num_stages,
-                       std::size_t activation_bytes) {
-  DYNMO_CHECK(num_stages > 0 && num_stages <= topo.num_ranks(),
-              num_stages << " stages on " << topo.num_ranks() << " ranks");
-  std::vector<int> ranks(static_cast<std::size_t>(num_stages));
-  std::iota(ranks.begin(), ranks.end(), 0);
-  return finish(topo, std::move(ranks), activation_bytes);
-}
-
-Placement place_round_robin(const Topology& topo, int num_stages,
-                            std::size_t activation_bytes) {
-  DYNMO_CHECK(num_stages > 0 && num_stages <= topo.num_ranks(),
-              num_stages << " stages on " << topo.num_ranks() << " ranks");
-  std::vector<int> ranks;
-  ranks.reserve(static_cast<std::size_t>(num_stages));
-  int local = 0;
-  while (static_cast<int>(ranks.size()) < num_stages) {
-    for (int n = 0; n < topo.num_nodes(); ++n) {
-      if (local >= topo.node_size(n)) continue;
-      ranks.push_back(topo.first_rank(n) + local);
-      if (static_cast<int>(ranks.size()) == num_stages) break;
-    }
-    ++local;
-  }
-  return finish(topo, std::move(ranks), activation_bytes);
-}
 
 Placement place_topology_aware(const Topology& topo, int num_stages,
                                std::size_t activation_bytes) {

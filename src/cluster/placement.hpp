@@ -5,9 +5,7 @@
 // its stage boundaries for a reference activation payload.  The greedy
 // topology-aware placement keeps consecutive stages on the fastest links
 // (NVLink before rails before Ethernet) and starts on the highest-
-// throughput node; linear fill and round-robin are the comparison
-// baselines (round-robin is what a topology-blind scheduler does, and
-// pays an inter-node link on *every* boundary).
+// throughput node.
 #pragma once
 
 #include <cstddef>
@@ -33,15 +31,6 @@ struct Placement {
 double placement_cost_s(const Topology& topo,
                         std::span<const int> stage_to_rank,
                         std::size_t activation_bytes = kDefaultActivationBytes);
-
-/// Stage s → rank s: fills node 0 first, then node 1, ...
-Placement place_linear(const Topology& topo, int num_stages,
-                       std::size_t activation_bytes = kDefaultActivationBytes);
-
-/// Stages dealt across nodes like cards — the topology-blind strawman.
-Placement place_round_robin(
-    const Topology& topo, int num_stages,
-    std::size_t activation_bytes = kDefaultActivationBytes);
 
 /// Greedy: start on the highest-aggregate-throughput node, then repeatedly
 /// pick the unused rank with the cheapest link from the previous stage

@@ -187,11 +187,6 @@ PathInfo Topology::best_path(int rank_a, int rank_b) const {
   return best_paths_from(rank_a)[static_cast<std::size_t>(rank_b)];
 }
 
-double Topology::effective_bandwidth(int rank_a, int rank_b) const {
-  const PathInfo p = best_path(rank_a, rank_b);
-  return p.reachable() ? p.bandwidth_bytes_s : 0.0;
-}
-
 double Topology::p2p_time(int rank_a, int rank_b, std::size_t bytes) const {
   if (rank_a == rank_b) return 0.0;
   const PathInfo p = best_path(rank_a, rank_b);
@@ -276,14 +271,6 @@ Topology Topology::make_homogeneous(int n_nodes, int gpus_per_node,
     }
   }
   return topo;
-}
-
-Topology Topology::make_dgx_a100(int n_nodes) {
-  // NVLink3: ~250 GB/s effective unidirectional per pair through NVSwitch;
-  // HDR200 rails: ~23 GB/s effective RDMA.
-  LinkSpec intra{LinkType::NvLink, 250e9, 2.5e-6};
-  LinkSpec inter{LinkType::InfiniBand, 23e9, 5e-6};
-  return make_homogeneous(n_nodes, 8, hw::GpuSpec::a100_sxm4(), intra, inter);
 }
 
 Topology Topology::make_dgx_h100(int n_nodes) {

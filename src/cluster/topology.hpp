@@ -73,8 +73,6 @@ class Topology {
   static Topology make_homogeneous(int n_nodes, int gpus_per_node,
                                    hw::GpuSpec gpu, LinkSpec intra,
                                    LinkSpec inter);
-  /// DGX-A100 pods: 8x A100-SXM4, NVLink3 clique, HDR InfiniBand rails.
-  static Topology make_dgx_a100(int n_nodes);
   /// DGX-H100 pods: 8x H100-SXM5, NVLink4 clique, NDR InfiniBand rails.
   static Topology make_dgx_h100(int n_nodes);
   /// Arbitrary node mix joined by `inter` rails (rails span the smallest
@@ -113,9 +111,6 @@ class Topology {
   /// All best routes from one source (one Dijkstra instead of R); entry
   /// [rank_a] is the trivial self-path.
   std::vector<PathInfo> best_paths_from(int rank_a) const;
-  /// Bottleneck bandwidth of best_path (0 if unreachable; +inf for a rank
-  /// to itself).
-  double effective_bandwidth(int rank_a, int rank_b) const;
   double p2p_time(int rank_a, int rank_b, std::size_t bytes) const;
 
   // ----------------------------------------------------------- adapters

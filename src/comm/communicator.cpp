@@ -66,18 +66,6 @@ std::optional<Message> Communicator::try_recv(int src, Tag tag) const {
   return std::nullopt;
 }
 
-void Communicator::barrier() const {
-  // Dissemination barrier: log2(n) rounds.  Round safety relies on per
-  // (source, tag) FIFO delivery, which every Transport guarantees.
-  const int n = size();
-  for (int k = 1; k < n; k <<= 1) {
-    const int dst = (rank_ + k) % n;
-    const int src = (rank_ - k % n + n) % n;
-    send(dst, kBarrierTag, {});
-    (void)recv(src, kBarrierTag);
-  }
-}
-
 std::vector<std::byte> Communicator::broadcast(std::vector<std::byte> data,
                                                int root) const {
   const int n = size();
@@ -169,25 +157,6 @@ std::vector<double> Communicator::allreduce_sum(std::vector<double> mine) const 
   return acc;
 }
 
-std::vector<std::vector<std::byte>> Communicator::alltoallv(
-    std::vector<std::vector<std::byte>> outgoing) const {
-  DYNMO_CHECK(static_cast<int>(outgoing.size()) == size(),
-              "alltoallv needs one buffer per destination");
-  std::vector<std::vector<std::byte>> incoming(
-      static_cast<std::size_t>(size()));
-  incoming[static_cast<std::size_t>(rank_)] =
-      std::move(outgoing[static_cast<std::size_t>(rank_)]);
-  for (int r = 0; r < size(); ++r) {
-    if (r == rank_) continue;
-    send(r, kAlltoallTag, std::move(outgoing[static_cast<std::size_t>(r)]));
-  }
-  for (int r = 0; r < size(); ++r) {
-    if (r == rank_) continue;
-    incoming[static_cast<std::size_t>(r)] = recv(r, kAlltoallTag).payload;
-  }
-  return incoming;
-}
-
 std::optional<Communicator> Communicator::split(int color, int key) const {
   // Rank 0 of the parent communicator coordinates, like the MPI
   // implementation's allgather-based split.
@@ -246,12 +215,6 @@ std::optional<Communicator> Communicator::split(int color, int key) const {
   const int new_rank = u.get<int>();
   auto group = std::make_shared<std::vector<int>>(u.get_vector<int>());
   return Communicator(world_, std::move(group), new_rank, ctx);
-}
-
-Communicator Communicator::dup() const {
-  auto c = split(/*color=*/0, /*key=*/rank_);
-  DYNMO_CHECK(c.has_value(), "dup must produce a communicator");
-  return *c;
 }
 
 }  // namespace dynmo::comm

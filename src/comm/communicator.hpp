@@ -10,7 +10,7 @@
 // (paper §3.4.2).
 //
 // Collectives are implemented over P2P with standard algorithms (binomial
-// broadcast, dissemination barrier, ring allreduce) so that their message
+// broadcast, ring allreduce) so that their message
 // pattern — and hence their modeled cost — matches what NCCL would do.
 // Nothing here touches a backend directly: every byte flows through the
 // Transport interface, which is what the cross-backend conformance suite
@@ -45,7 +45,6 @@ class World {
 
   /// Which backend this world runs on (recorded in telemetry catalogs).
   TransportKind transport_kind() const { return kind_; }
-  std::string_view transport_name() const { return transport_->name(); }
 
   /// The communicator spanning all ranks (MPI_COMM_WORLD analogue); one
   /// handle per rank.
@@ -120,7 +119,6 @@ class Communicator {
   }
 
   // --- collectives (every member must call) ----------------------------
-  void barrier() const;
   /// Broadcast `data` from root to all; non-roots receive into return value.
   std::vector<std::byte> broadcast(std::vector<std::byte> data,
                                    int root) const;
@@ -137,18 +135,12 @@ class Communicator {
       std::vector<double> mine) const;
   /// Element-wise sum allreduce over doubles (ring algorithm).
   std::vector<double> allreduce_sum(std::vector<double> mine) const;
-  /// Variable all-to-all: `outgoing[r]` is sent to rank r; returns what each
-  /// rank sent to me, indexed by source rank.
-  std::vector<std::vector<std::byte>> alltoallv(
-      std::vector<std::vector<std::byte>> outgoing) const;
 
   // --- communicator management -----------------------------------------
   /// MPI_Comm_split: ranks with the same color form a new communicator,
   /// ordered by (key, old rank).  color < 0 → the rank gets no communicator
   /// (returns nullopt), mirroring NCCL_SPLIT_NOCOLOR.
   std::optional<Communicator> split(int color, int key) const;
-  /// Duplicate with a fresh context.
-  Communicator dup() const;
 
  private:
   friend class World;

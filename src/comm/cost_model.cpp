@@ -1,9 +1,6 @@
 #include "comm/cost_model.hpp"
 
 #include <algorithm>
-#include <map>
-
-#include "core/error.hpp"
 
 namespace dynmo::comm {
 
@@ -43,48 +40,6 @@ CollectiveBytesSplit allreduce_bytes(const RankGroup& g, std::size_t bytes) {
   return split;
 }
 
-RankGroup CostModel::group(std::span<const int> ranks) const {
-  RankGroup g;
-  g.intra = params(LinkTier::NvLink);
-  g.inter = params(LinkTier::InfiniBand);
-  std::map<int, std::vector<int>> by_node;  // ordered → deterministic
-  for (int r : ranks) by_node[node_of(r)].push_back(r);
-  g.node_sizes.reserve(by_node.size());
-  for (const auto& [node, members] : by_node) {
-    DYNMO_CHECK(!members.empty(), "empty node group");
-    g.node_sizes.push_back(static_cast<int>(members.size()));
-  }
-  if (resolver_) {
-    // The gating links are the worst same-node member pair and the worst
-    // leader pair; member sets are small (<= ranks per job), so the
-    // quadratic scans are fine.
-    bool have_intra = false;
-    for (const auto& [node, members] : by_node) {
-      for (std::size_t i = 0; i < members.size(); ++i) {
-        for (std::size_t j = i + 1; j < members.size(); ++j) {
-          const LinkParams lp = resolver_(members[i], members[j]);
-          if (!have_intra || link_ref_time(lp) > link_ref_time(g.intra)) {
-            g.intra = lp;
-            have_intra = true;
-          }
-        }
-      }
-    }
-    bool have_inter = false;
-    for (auto a = by_node.begin(); a != by_node.end(); ++a) {
-      for (auto b = std::next(a); b != by_node.end(); ++b) {
-        const LinkParams lp =
-            resolver_(a->second.front(), b->second.front());
-        if (!have_inter || link_ref_time(lp) > link_ref_time(g.inter)) {
-          g.inter = lp;
-          have_inter = true;
-        }
-      }
-    }
-  }
-  return g;
-}
-
 double CostModel::allreduce_time(const RankGroup& g, std::size_t bytes) const {
   const int n = g.total_ranks();
   if (n <= 1) return 0.0;
@@ -101,49 +56,6 @@ double CostModel::allreduce_time(const RankGroup& g, std::size_t bytes) const {
   t += ring_allreduce(g.inter, g.num_nodes(),
                       b / static_cast<double>(m_min));
   return t;
-}
-
-double CostModel::broadcast_time(const RankGroup& g, std::size_t bytes) const {
-  const int n = g.total_ranks();
-  if (n <= 1) return 0.0;
-  const double b = static_cast<double>(bytes);
-  const auto binomial = [b](const LinkParams& lp, int fanout) {
-    const double rounds = std::ceil(std::log2(static_cast<double>(fanout)));
-    return rounds * (lp.alpha_s + b / lp.beta_bytes_s);
-  };
-  if (g.num_nodes() <= 1) return binomial(g.intra, n);
-  double t = binomial(g.inter, g.num_nodes());
-  const int m_max = g.max_node_size();
-  if (m_max > 1) t += binomial(g.intra, m_max);
-  return t;
-}
-
-double CostModel::alltoall_time(const RankGroup& g,
-                                std::size_t bytes_per_peer) const {
-  const int n = g.total_ranks();
-  if (n <= 1) return 0.0;
-  const double b = static_cast<double>(bytes_per_peer);
-  const double nn = static_cast<double>(n);
-  if (g.num_nodes() <= 1) {
-    return (nn - 1.0) * (g.intra.alpha_s + b / g.intra.beta_bytes_s);
-  }
-  // Intra phase: regroup by rail — each rank hands every local peer that
-  // peer's rail share, n/m_i * bytes per message; gated by the worst node.
-  double intra = 0.0;
-  for (int m : g.node_sizes) {
-    if (m <= 1) continue;
-    const double mm = static_cast<double>(m);
-    intra = std::max(
-        intra, (mm - 1.0) * (g.intra.alpha_s +
-                             (nn / mm) * b / g.intra.beta_bytes_s));
-  }
-  // Inter phase: one aggregated message per remote node along the rails;
-  // the rank with the fewest node-local peers crosses the most fabric.
-  const int m_min = std::max(1, g.min_node_size());
-  const double inter =
-      static_cast<double>(g.num_nodes() - 1) * g.inter.alpha_s +
-      (nn - static_cast<double>(m_min)) * b / g.inter.beta_bytes_s;
-  return intra + inter;
 }
 
 }  // namespace dynmo::comm

@@ -11,18 +11,17 @@
 // the cluster facts instead of the flat `gpus_per_node` rule:
 //   * LinkResolver — per-rank-pair effective link for point-to-point
 //     transfers (shortest path over the real graph).
-//   * NodeResolver — rank → node membership, so tier() and group() agree
-//     with the topology even when node sizes are non-uniform or differ from
+//   * NodeResolver — rank → node membership, so tier() agrees with the
+//     topology even when node sizes are non-uniform or differ from
 //     `CostModelConfig::gpus_per_node`.
-// The RankGroup overloads of the collective formulas compute *hierarchical*
-// costs (reduce-scatter inside each node, ring across node leaders) and
-// reduce exactly to the flat formulas when the group spans a single node.
+// The RankGroup overload of allreduce_time() computes the *hierarchical*
+// cost (reduce-scatter inside each node, ring across node leaders) and
+// reduces exactly to the flat formula when the group spans a single node.
 #pragma once
 
 #include <cstddef>
 #include <cmath>
 #include <functional>
-#include <span>
 #include <utility>
 #include <vector>
 
@@ -65,9 +64,9 @@ struct CostModelConfig {
 };
 
 /// Node-grouped membership of a set of ranks, plus the two links the
-/// hierarchical collective formulas price by.  Built by CostModel::group()
-/// (tier parameters) or cluster::Deployment::group() (the topology's actual
-/// worst member links); can also be assembled by hand for what-if costing.
+/// hierarchical collective formulas price by.  Built by
+/// cluster::Deployment::group() (the topology's actual worst member links);
+/// can also be assembled by hand for what-if costing.
 struct RankGroup {
   std::vector<int> node_sizes;  ///< members per distinct node, all >= 1
   LinkParams intra{0.0, 0.0};   ///< link within a node
@@ -145,17 +144,12 @@ class CostModel {
     return lp.alpha_s + static_cast<double>(bytes) / lp.beta_bytes_s;
   }
 
-  /// Node-grouped membership of `ranks` under this model's membership rule,
-  /// with intra/inter links resolved to the worst (slowest for a reference
-  /// payload) member pair when a link resolver is installed, tier
-  /// parameters otherwise.
-  RankGroup group(std::span<const int> ranks) const;
-
   // ------------------------------------------------- flat collectives
   // Uniform-link formulas: every hop is priced at one tier, chosen by the
   // `crosses_nodes` bit.  Kept for synthetic clusters (e.g. pricing a DP
-  // ring whose replicas are outside the topology); the RankGroup overloads
-  // below are the hierarchical versions every Deployment consumer uses.
+  // ring whose replicas are outside the topology); the RankGroup overload
+  // of allreduce_time below is the hierarchical version every Deployment
+  // consumer uses.
 
   /// Ring allreduce over n ranks: 2(n-1)/n * bytes over the slowest link,
   /// plus 2(n-1) latency terms.
@@ -187,21 +181,15 @@ class CostModel {
            (lp.alpha_s + static_cast<double>(bytes_per_peer) / lp.beta_bytes_s);
   }
 
-  // ------------------------------------------ hierarchical collectives
-  // Group-aware formulas over the real node membership:
-  //   allreduce — reduce-scatter + allgather inside each node (NVLink),
-  //               ring allreduce of the per-node shards across node leaders;
-  //   broadcast — binomial across node leaders, then binomial inside nodes;
-  //   alltoall  — 2D exchange: regroup by rail inside the node, then one
-  //               aggregated message per remote node along the rails.
-  // Each reduces exactly to the matching flat intra-node formula when the
-  // group spans one node, and to the flat cross-node formula when every
-  // node holds a single member.  Non-uniform node sizes are gated by the
-  // worst node (largest for intra phases, smallest shard for inter).
-
+  // ------------------------------------------ hierarchical allreduce
+  // Group-aware formula over the real node membership: reduce-scatter +
+  // allgather inside each node (NVLink), ring allreduce of the per-node
+  // shards across node leaders.  Reduces exactly to the flat intra-node
+  // formula when the group spans one node, and to the flat cross-node
+  // formula when every node holds a single member.  Non-uniform node sizes
+  // are gated by the worst node (largest for the intra phase, smallest
+  // shard for the inter phase).
   double allreduce_time(const RankGroup& g, std::size_t bytes) const;
-  double broadcast_time(const RankGroup& g, std::size_t bytes) const;
-  double alltoall_time(const RankGroup& g, std::size_t bytes_per_peer) const;
 
   const LinkParams& params(LinkTier t) const {
     switch (t) {

@@ -33,12 +33,6 @@ std::optional<Message> InProcTransport::try_recv(int self, int context,
   return box(self).try_recv(context, source, tag);
 }
 
-std::size_t InProcTransport::pending(int self) const {
-  return box(self).pending();
-}
-
-void InProcTransport::close(int self) { box(self).close(); }
-
 bool InProcTransport::closed(int self) const { return box(self).closed(); }
 
 void InProcTransport::shutdown() {

@@ -16,7 +16,6 @@ class InProcTransport final : public Transport {
  public:
   explicit InProcTransport(int num_ranks);
 
-  std::string_view name() const override { return "inproc"; }
   int size() const override { return static_cast<int>(mailboxes_.size()); }
 
   void send(int dst, Message msg) override;
@@ -24,8 +23,6 @@ class InProcTransport final : public Transport {
                               Tag tag) override;
   std::optional<Message> try_recv(int self, int context, int source,
                                   Tag tag) override;
-  std::size_t pending(int self) const override;
-  void close(int self) override;
   bool closed(int self) const override;
   void shutdown() override;
 

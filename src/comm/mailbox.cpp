@@ -40,11 +40,6 @@ std::optional<Message> Mailbox::try_recv(int context, int source, Tag tag) {
   return take_locked(context, source, tag);
 }
 
-std::size_t Mailbox::pending() const {
-  std::scoped_lock lock(mu_);
-  return queue_.size();
-}
-
 void Mailbox::close() {
   {
     std::scoped_lock lock(mu_);

@@ -27,9 +27,6 @@ class Mailbox {
   std::optional<Message> try_recv(int context, int source = kAnySource,
                                   Tag tag = kAnyTag);
 
-  /// Number of queued messages (racy; for diagnostics only).
-  std::size_t pending() const;
-
   /// Close: wakes all blocked receivers; subsequent recv of unmatched
   /// patterns returns nullopt.
   void close();

@@ -25,12 +25,10 @@ inline constexpr Tag kAnyTag = INT32_MIN;
 /// Well-known tags used by DynMo subsystems.  User code may use any tag
 /// >= kFirstUserTag.
 enum ReservedTag : Tag {
-  kBarrierTag = -1,
   kBcastTag = -2,
   kGatherTag = -3,
   kScatterTag = -4,
   kAllreduceTag = -5,
-  kAlltoallTag = -6,
   kMigrationTag = -7,
   kPruneTag = -8,
   kShutdownTag = -9,

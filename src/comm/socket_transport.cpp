@@ -162,10 +162,6 @@ std::optional<Message> SocketTransport::try_recv(int self, int context,
   return endpoint(self).inbox.try_recv(context, source, tag);
 }
 
-std::size_t SocketTransport::pending(int self) const {
-  return endpoint(self).inbox.pending();
-}
-
 void SocketTransport::close(int self) {
   Endpoint& ep = endpoint(self);
   if (ep.closing.exchange(true)) return;

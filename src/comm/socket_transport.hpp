@@ -34,7 +34,6 @@ class SocketTransport final : public Transport {
   explicit SocketTransport(int num_ranks);
   ~SocketTransport() override;
 
-  std::string_view name() const override { return "socket"; }
   int size() const override { return static_cast<int>(endpoints_.size()); }
 
   void send(int dst, Message msg) override;
@@ -42,12 +41,13 @@ class SocketTransport final : public Transport {
                               Tag tag) override;
   std::optional<Message> try_recv(int self, int context, int source,
                                   Tag tag) override;
-  std::size_t pending(int self) const override;
-  void close(int self) override;
   bool closed(int self) const override;
   void shutdown() override;
 
  private:
+  /// Close one endpoint: wakes its blocked receivers.  Idempotent.
+  void close(int self);
+
   struct Endpoint {
     int send_fd = -1;  ///< written by any sender, serialized by send_mu
     int recv_fd = -1;  ///< read only by this endpoint's reader thread

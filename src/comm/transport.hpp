@@ -1,10 +1,9 @@
 // comm::Transport: the pluggable message substrate under World/Communicator.
 //
 // A Transport owns one *endpoint* per global rank.  Everything above it —
-// Communicator handles, the collectives (binomial broadcast, dissemination
-// barrier, allgather-based allreduce, alltoallv), split()/dup(), the
-// threaded runtime,
-// the elastic restart path, and the fault-recovery machinery — is written
+// Communicator handles, the collectives (binomial broadcast,
+// allgather-based allreduce), split(), the threaded runtime, the elastic
+// restart path, and the fault-recovery machinery — is written
 // against this interface only, so swapping the backend can never change
 // observable behavior (the conformance suite in
 // tests/test_transport_conformance.cpp and the golden-trace CI gate hold
@@ -63,9 +62,6 @@ class Transport {
   Transport(const Transport&) = delete;
   Transport& operator=(const Transport&) = delete;
 
-  /// Backend name as recorded in telemetry catalogs ("inproc", "socket").
-  virtual std::string_view name() const = 0;
-
   /// Number of endpoints (global ranks).
   virtual int size() const = 0;
 
@@ -87,12 +83,8 @@ class Transport {
   virtual std::optional<Message> try_recv(int self, int context, int source,
                                           Tag tag) = 0;
 
-  /// Queued-message count on `self`'s endpoint (racy; diagnostics only).
-  virtual std::size_t pending(int self) const = 0;
-
-  /// Close one endpoint: wakes its blocked receivers; later receives of
-  /// unmatched patterns report closure.  Idempotent.
-  virtual void close(int self) = 0;
+  /// Whether `self`'s endpoint is closed: its blocked receivers are woken
+  /// and later receives of unmatched patterns report closure.
   virtual bool closed(int self) const = 0;
 
   /// Close every endpoint (World::shutdown).  Idempotent; must leave the

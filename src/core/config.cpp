@@ -74,18 +74,6 @@ std::int64_t Config::get_int(const std::string& key) const {
   }
 }
 
-double Config::get_double(const std::string& key) const {
-  const auto s = get_string(key);
-  try {
-    std::size_t pos = 0;
-    const double v = std::stod(s, &pos);
-    DYNMO_CHECK(pos == s.size(), "trailing junk in double '" << s << '\'');
-    return v;
-  } catch (const std::logic_error&) {
-    throw Error("config key '" + key + "' is not a number: " + s);
-  }
-}
-
 bool Config::get_bool(const std::string& key) const {
   std::string s = get_string(key);
   std::transform(s.begin(), s.end(), s.begin(),
@@ -103,10 +91,6 @@ std::string Config::get_string(const std::string& key,
 std::int64_t Config::get_int(const std::string& key,
                              std::int64_t fallback) const {
   return contains(key) ? get_int(key) : fallback;
-}
-
-double Config::get_double(const std::string& key, double fallback) const {
-  return contains(key) ? get_double(key) : fallback;
 }
 
 bool Config::get_bool(const std::string& key, bool fallback) const {

@@ -28,13 +28,11 @@ class Config {
   /// Typed getters: throw dynmo::Error on missing key or bad format.
   std::string get_string(const std::string& key) const;
   std::int64_t get_int(const std::string& key) const;
-  double get_double(const std::string& key) const;
   bool get_bool(const std::string& key) const;
   /// With-default variants never throw on missing keys.
   std::string get_string(const std::string& key,
                          const std::string& fallback) const;
   std::int64_t get_int(const std::string& key, std::int64_t fallback) const;
-  double get_double(const std::string& key, double fallback) const;
   bool get_bool(const std::string& key, bool fallback) const;
 
   /// Keys present in the config but not in `known` (typo detection).

@@ -42,15 +42,4 @@ std::uint64_t Rng::zipf(std::uint64_t n, double s) {
   }
 }
 
-std::size_t Rng::categorical(const std::vector<double>& weights) {
-  DYNMO_CHECK(!weights.empty(), "categorical over empty weights");
-  double total = 0.0;
-  for (double w : weights) {
-    DYNMO_CHECK(w >= 0.0, "categorical weight " << w << " is not >= 0");
-    total += w;
-  }
-  DYNMO_CHECK(total > 0.0, "categorical weights sum to zero");
-  return categorical(weights, total);
-}
-
 }  // namespace dynmo

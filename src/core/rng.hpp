@@ -123,12 +123,10 @@ class Rng {
   /// Bernoulli trial.
   bool bernoulli(double p) { return uniform() < p; }
   /// Sample from unnormalised non-negative weights; returns the first index
-  /// at which uniform()·Σw minus the running weight sum drops to <= 0 (the
-  /// last index if rounding never gets it there).
-  std::size_t categorical(const std::vector<double>& weights);
-  /// categorical(weights) with the sum already known, for callers drawing
-  /// many times from one weight vector: `total` must be the left-to-right
-  /// sum of the (non-negative) weights and > 0; neither is checked here.
+  /// at which uniform()·total minus the running weight sum drops to <= 0
+  /// (the last index if rounding never gets it there).  `total` must be the
+  /// left-to-right sum of the weights and > 0; neither is checked here, so
+  /// callers drawing many times from one weight vector sum it once.
   /// The chain is walked to the end instead of exiting early: with
   /// non-negative weights it never rises once it reaches <= 0, so the count
   /// of steps still above zero is the same index, found without a

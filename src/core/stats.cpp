@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <sstream>
 
 namespace dynmo {
 
@@ -17,23 +16,6 @@ void RunningStats::add(double x) {
   const double delta = x - mean_;
   mean_ += delta / static_cast<double>(n_);
   m2_ += delta * (x - mean_);
-}
-
-void RunningStats::merge(const RunningStats& other) {
-  if (other.n_ == 0) return;
-  if (n_ == 0) {
-    *this = other;
-    return;
-  }
-  const double na = static_cast<double>(n_);
-  const double nb = static_cast<double>(other.n_);
-  const double delta = other.mean_ - mean_;
-  const double n = na + nb;
-  mean_ += delta * nb / n;
-  m2_ += other.m2_ + delta * delta * na * nb / n;
-  n_ += other.n_;
-  min_ = std::min(min_, other.min_);
-  max_ = std::max(max_, other.max_);
 }
 
 double RunningStats::variance() const {
@@ -64,26 +46,6 @@ double min_of(std::span<const double> xs) {
   return m;
 }
 
-double stddev_of(std::span<const double> xs) {
-  if (xs.size() < 2) return 0.0;
-  const double mu = mean_of(xs);
-  double acc = 0.0;
-  for (double x : xs) acc += (x - mu) * (x - mu);
-  return std::sqrt(acc / static_cast<double>(xs.size()));
-}
-
-double percentile_of(std::span<const double> xs, double p) {
-  if (xs.empty()) return 0.0;
-  std::vector<double> sorted(xs.begin(), xs.end());
-  std::sort(sorted.begin(), sorted.end());
-  const double clamped = std::clamp(p, 0.0, 100.0);
-  const double idx = clamped / 100.0 * static_cast<double>(sorted.size() - 1);
-  const auto lo = static_cast<std::size_t>(idx);
-  const std::size_t hi = std::min(lo + 1, sorted.size() - 1);
-  const double frac = idx - static_cast<double>(lo);
-  return sorted[lo] * (1.0 - frac) + sorted[hi] * frac;
-}
-
 double load_imbalance(std::span<const double> loads) {
   if (loads.empty()) return 0.0;
   const double mu = mean_of(loads);
@@ -96,30 +58,6 @@ double max_over_mean(std::span<const double> loads) {
   const double mu = mean_of(loads);
   if (mu <= 0.0) return 1.0;
   return max_of(loads) / mu;
-}
-
-std::string ascii_histogram(std::span<const double> xs, int bins, int width) {
-  std::ostringstream oss;
-  if (xs.empty() || bins <= 0) return "(empty)";
-  const double lo = min_of(xs);
-  const double hi = max_of(xs);
-  const double span = (hi > lo) ? (hi - lo) : 1.0;
-  std::vector<std::size_t> counts(static_cast<std::size_t>(bins), 0);
-  for (double x : xs) {
-    auto b = static_cast<std::size_t>((x - lo) / span * bins);
-    if (b >= counts.size()) b = counts.size() - 1;
-    ++counts[b];
-  }
-  const std::size_t peak = *std::max_element(counts.begin(), counts.end());
-  for (int b = 0; b < bins; ++b) {
-    const double left = lo + span * b / bins;
-    const auto bar = static_cast<int>(
-        peak ? counts[static_cast<std::size_t>(b)] * static_cast<std::size_t>(width) / peak : 0);
-    oss << "[" << left << ", " << left + span / bins << ") ";
-    for (int i = 0; i < bar; ++i) oss << '#';
-    oss << ' ' << counts[static_cast<std::size_t>(b)] << '\n';
-  }
-  return oss.str();
 }
 
 }  // namespace dynmo

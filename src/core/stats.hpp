@@ -13,7 +13,6 @@ namespace dynmo {
 class RunningStats {
  public:
   void add(double x);
-  void merge(const RunningStats& other);
   void reset() { *this = RunningStats{}; }
 
   std::size_t count() const { return n_; }
@@ -37,9 +36,6 @@ double mean_of(std::span<const double> xs);
 double sum_of(std::span<const double> xs);
 double max_of(std::span<const double> xs);
 double min_of(std::span<const double> xs);
-double stddev_of(std::span<const double> xs);
-/// Linear-interpolated percentile, p in [0, 100].
-double percentile_of(std::span<const double> xs, double p);
 
 /// Relative load imbalance per paper Eq. (2):
 ///   (L_max − L_min) / mean(L).   0 when perfectly balanced or empty.
@@ -47,9 +43,5 @@ double load_imbalance(std::span<const double> loads);
 
 /// max(L)/mean(L) − common alternative imbalance metric (≥ 1.0 − epsilon).
 double max_over_mean(std::span<const double> loads);
-
-/// Fixed-width text histogram, for example/bench output.
-std::string ascii_histogram(std::span<const double> xs, int bins = 10,
-                            int width = 40);
 
 }  // namespace dynmo

@@ -42,16 +42,4 @@ std::string format_seconds(double seconds) {
   return buf;
 }
 
-std::string format_rate(double per_second, const char* unit) {
-  char buf[64];
-  if (per_second >= 1e6) {
-    std::snprintf(buf, sizeof(buf), "%.3gM %s/s", per_second / 1e6, unit);
-  } else if (per_second >= 1e3) {
-    std::snprintf(buf, sizeof(buf), "%.3gk %s/s", per_second / 1e3, unit);
-  } else {
-    std::snprintf(buf, sizeof(buf), "%.3g %s/s", per_second, unit);
-  }
-  return buf;
-}
-
 }  // namespace dynmo

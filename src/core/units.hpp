@@ -26,7 +26,5 @@ inline constexpr double ms = 1e-3;
 std::string format_bytes(double bytes);
 /// Pretty-print a duration in seconds ("3.2 ms").
 std::string format_seconds(double seconds);
-/// Pretty-print a rate ("4.2k tok/s").
-std::string format_rate(double per_second, const char* unit);
 
 }  // namespace dynmo

@@ -44,19 +44,6 @@ FreezingEngine::FreezingEngine(const model::ModelDesc& model,
   }
 }
 
-std::int64_t FreezingEngine::freeze_iteration(std::size_t layer) const {
-  DYNMO_CHECK(layer < freeze_at_.size(), "layer out of range");
-  return freeze_at_[layer];
-}
-
-std::size_t FreezingEngine::frozen_count(std::int64_t iter) const {
-  std::size_t n = 0;
-  for (std::int64_t at : freeze_at_) {
-    if (iter >= at) ++n;
-  }
-  return n;
-}
-
 void FreezingEngine::step(std::int64_t iter,
                           std::span<model::LayerState> states) {
   DYNMO_CHECK(states.size() == model_->num_layers(), "state size mismatch");

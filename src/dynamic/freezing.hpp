@@ -45,11 +45,6 @@ class FreezingEngine final : public DynamismEngine {
     return cfg_.check_interval;
   }
 
-  /// Iteration at which layer ℓ freezes (int64 max if never).
-  std::int64_t freeze_iteration(std::size_t layer) const;
-  /// Number of layers frozen at iteration `iter`.
-  std::size_t frozen_count(std::int64_t iter) const;
-
   /// Modeled per-check overhead of the Egeria baseline itself (reference
   /// model maintenance scales with layer count); DynMo's own overhead is
   /// tracked by balance::Rebalancer instead.

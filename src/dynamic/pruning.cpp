@@ -18,11 +18,6 @@ double PruningSchedule::sparsity_at(std::int64_t t) const {
   return final_sparsity + (initial_sparsity - final_sparsity) * cubic;
 }
 
-bool PruningSchedule::is_pruning_step(std::int64_t t) const {
-  return t >= start_iter && t <= end_iter() &&
-         (t - start_iter) % frequency == 0;
-}
-
 namespace {
 /// P(|X| >= tau) for X ~ N(0, sigma^2).
 double gaussian_retention(double tau, double sigma) {

@@ -31,7 +31,6 @@ struct PruningSchedule {
 
   /// Target sparsity at iteration t (Eq. 3); clamps outside the window.
   double sparsity_at(std::int64_t t) const;
-  bool is_pruning_step(std::int64_t t) const;
   std::int64_t end_iter() const { return start_iter + frequency * num_steps; }
 };
 
@@ -52,8 +51,11 @@ class PruningEngine final : public DynamismEngine {
   PruningEngine(const model::ModelDesc& model, PruningEngineConfig cfg);
 
   std::string name() const override { return "gradual_pruning"; }
+  /// The pruning steps: every `frequency` iterations of the schedule.
   bool is_dynamism_point(std::int64_t iter) const override {
-    return cfg_.schedule.is_pruning_step(iter);
+    const PruningSchedule& s = cfg_.schedule;
+    return iter >= s.start_iter && iter <= s.end_iter() &&
+           (iter - s.start_iter) % s.frequency == 0;
   }
   void step(std::int64_t iter, std::span<model::LayerState> states) override;
   std::int64_t recommended_rebalance_interval() const override {

@@ -13,7 +13,7 @@
 //
 // Multi-node clusters: describe where the training run lives with a
 // cluster::Deployment — a Topology (presets: Topology::make_dgx_h100(n),
-// make_dgx_a100(n), make_hetero(nodes, inter)) bound to a placement and,
+// make_homogeneous(...), make_hetero(nodes, inter)) bound to a placement and,
 // through the topology's nodes, a per-rank hw::GpuSpec:
 //
 //   auto dep = cluster::Deployment::make_topology_aware(

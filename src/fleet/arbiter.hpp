@@ -102,7 +102,6 @@ class Arbiter : public repack::ControlPlane {
   /// Unreserved free capacity: pool minus allocations minus what pending
   /// preemption grants have already spoken for.
   int free_gpus() const override;
-  int total_gpus() const override { return cfg_.total_gpus; }
 
  private:
   struct Job {

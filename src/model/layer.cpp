@@ -6,32 +6,11 @@
 
 namespace dynmo::model {
 
-const char* to_string(LayerKind kind) {
-  switch (kind) {
-    case LayerKind::Embedding: return "embedding";
-    case LayerKind::TransformerBlock: return "block";
-    case LayerKind::MoeTransformerBlock: return "moe_block";
-    case LayerKind::LmHead: return "lm_head";
-  }
-  return "?";
-}
-
 std::size_t ModelDesc::total_params() const {
   return std::accumulate(layers.begin(), layers.end(), std::size_t{0},
                          [](std::size_t acc, const LayerDesc& l) {
                            return acc + l.params;
                          });
-}
-
-std::size_t ModelDesc::num_blocks() const {
-  std::size_t n = 0;
-  for (const auto& l : layers) {
-    if (l.kind == LayerKind::TransformerBlock ||
-        l.kind == LayerKind::MoeTransformerBlock) {
-      ++n;
-    }
-  }
-  return n;
 }
 
 namespace {

@@ -24,8 +24,6 @@ enum class LayerKind {
   LmHead,
 };
 
-const char* to_string(LayerKind kind);
-
 struct LayerDesc {
   int id = 0;
   LayerKind kind = LayerKind::TransformerBlock;
@@ -64,8 +62,6 @@ struct ModelDesc {
 
   std::size_t num_layers() const { return layers.size(); }
   std::size_t total_params() const;
-  /// Count of transformer (block) layers, excluding embedding / head.
-  std::size_t num_blocks() const;
 };
 
 /// GPT-2-style dense decoder config matching the paper's evaluation setup

@@ -66,21 +66,6 @@ const model::LayerTimes& CostBuilder::ref_layer_times(
   return slot.times;
 }
 
-std::vector<model::LayerTimes> CostBuilder::layer_times_full_rescan(
-    std::span<const model::LayerState> states) const {
-  DYNMO_CHECK(states.size() == model_->num_layers(),
-              "state count " << states.size() << " != layer count "
-                             << model_->num_layers());
-  const model::LayerCostModel& ref = stage_costs_.reference();
-  std::vector<model::LayerTimes> times;
-  times.reserve(states.size());
-  for (std::size_t l = 0; l < states.size(); ++l) {
-    times.push_back(
-        ref.layer_times(model_->layers[l], states[l], cfg_.micro_batch));
-  }
-  return times;
-}
-
 std::vector<double> CostBuilder::layer_total_seconds(
     std::span<const model::LayerState> states) const {
   const auto times = layer_times(states);
@@ -117,24 +102,6 @@ std::vector<double> CostBuilder::layer_memory_bytes(
       slot.mem_valid = true;
     }
     mem.push_back(slot.mem_bytes);
-  }
-  return mem;
-}
-
-std::vector<double> CostBuilder::layer_memory_bytes_full_rescan(
-    std::span<const model::LayerState> states, const StageMap& map) const {
-  DYNMO_CHECK(states.size() == model_->num_layers(), "state count mismatch");
-  DYNMO_CHECK(map.num_layers() == model_->num_layers(), "map layer mismatch");
-  const model::LayerCostModel& ref = stage_costs_.reference();
-  std::vector<double> mem;
-  mem.reserve(states.size());
-  for (std::size_t l = 0; l < states.size(); ++l) {
-    const int s = map.stage_of(l);
-    const int resident =
-        std::min(cfg_.num_microbatches, map.num_stages() - s);
-    mem.push_back(ref.layer_memory_bytes(
-        model_->layers[l], states[l], cfg_.micro_batch,
-        static_cast<std::size_t>(std::max(1, resident))));
   }
   return mem;
 }

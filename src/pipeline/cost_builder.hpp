@@ -55,12 +55,10 @@ class CostBuilder {
   /// (dynamism typically perturbs a few layers per step; frozen and
   /// steady-state layers are cache hits returning the stored doubles —
   /// bit-identical by construction).  Invalidation rule: any field of the
-  /// layer's LayerState differing from the cached snapshot.
+  /// layer's LayerState differing from the cached snapshot
+  /// (tests/cost_oracles.hpp re-evaluates every layer as the differential
+  /// oracle).
   std::vector<model::LayerTimes> layer_times(
-      std::span<const model::LayerState> states) const;
-  /// Reference twin of layer_times(): always re-evaluates the cost model,
-  /// kept alive under test as the differential oracle for the memo.
-  std::vector<model::LayerTimes> layer_times_full_rescan(
       std::span<const model::LayerState> states) const;
 
   /// Per-layer total (fwd+bwd) seconds — the balancers' by-time weights.
@@ -72,9 +70,6 @@ class CostBuilder {
   /// per layer on (LayerState, resident microbatches) — a layer re-prices
   /// only when its state or its stage-depth-derived residency changed.
   std::vector<double> layer_memory_bytes(
-      std::span<const model::LayerState> states, const StageMap& map) const;
-  /// Reference twin of layer_memory_bytes(): always re-evaluates.
-  std::vector<double> layer_memory_bytes_full_rescan(
       std::span<const model::LayerState> states, const StageMap& map) const;
 
   /// Assemble the full StageCosts table for one iteration: compute per

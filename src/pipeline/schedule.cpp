@@ -6,15 +6,6 @@
 
 namespace dynmo::pipeline {
 
-const char* to_string(ScheduleKind k) {
-  switch (k) {
-    case ScheduleKind::GPipe: return "gpipe";
-    case ScheduleKind::OneFOneB: return "1f1b";
-    case ScheduleKind::ZbH1: return "zb-h1";
-  }
-  return "?";
-}
-
 StageCosts::StageCosts(int num_stages, int num_microbatches)
     : stages_(num_stages), microbatches_(num_microbatches) {
   DYNMO_CHECK(num_stages > 0 && num_microbatches > 0,
@@ -25,21 +16,6 @@ StageCosts::StageCosts(int num_stages, int num_microbatches)
   bwd_input_.assign(n, 0.0);
   bwd_weight_.assign(n, 0.0);
   send_.assign(static_cast<std::size_t>(std::max(0, num_stages - 1)), 0.0);
-}
-
-void StageCosts::set_stage(int s, double fwd_s, double bwd_input_s,
-                           double bwd_weight_s) {
-  for (int mb = 0; mb < microbatches_; ++mb) {
-    fwd(s, mb) = fwd_s;
-    bwd_input(s, mb) = bwd_input_s;
-    bwd_weight(s, mb) = bwd_weight_s;
-  }
-}
-
-double StageCosts::total_work() const {
-  return std::accumulate(fwd_.begin(), fwd_.end(), 0.0) +
-         std::accumulate(bwd_input_.begin(), bwd_input_.end(), 0.0) +
-         std::accumulate(bwd_weight_.begin(), bwd_weight_.end(), 0.0);
 }
 
 double PipelineResult::avg_idleness() const {
@@ -55,11 +31,6 @@ double PipelineResult::bubble_ratio() const {
       std::accumulate(busy_s.begin(), busy_s.end(), 0.0);
   return 1.0 - busy_total /
                    (makespan_s * static_cast<double>(busy_s.size()));
-}
-
-double PipelineResult::max_idleness() const {
-  if (idle_s.empty() || makespan_s <= 0.0) return 0.0;
-  return *std::max_element(idle_s.begin(), idle_s.end()) / makespan_s;
 }
 
 namespace {

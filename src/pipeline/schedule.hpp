@@ -24,8 +24,6 @@ namespace dynmo::pipeline {
 
 enum class ScheduleKind { GPipe, OneFOneB, ZbH1 };
 
-const char* to_string(ScheduleKind k);
-
 /// Per-stage, per-microbatch costs for one iteration.
 class StageCosts {
  public:
@@ -44,12 +42,6 @@ class StageCosts {
   /// Activation/gradient transfer time from stage s to s+1 (and back).
   double& send(int s) { return send_[static_cast<std::size_t>(s)]; }
   double send(int s) const { return send_[static_cast<std::size_t>(s)]; }
-
-  /// Fill all microbatches of a stage with constant costs.
-  void set_stage(int s, double fwd_s, double bwd_input_s, double bwd_weight_s);
-
-  /// Total work (sum of all op durations) across stages.
-  double total_work() const;
 
  private:
   std::size_t index(int s, int mb) const {
@@ -75,8 +67,6 @@ struct PipelineResult {
   /// 1 − Σbusy / (S · makespan): fraction of the pipeline's GPU-seconds
   /// spent in bubbles.
   double bubble_ratio() const;
-  /// Idleness of the single worst worker.
-  double max_idleness() const;
 };
 
 /// Optional per-op observer (used by pipeline::simulate_traced to build

@@ -69,20 +69,12 @@ int StageMap::stage_of(std::size_t layer) const {
   DYNMO_CHECK(layer < num_layers(), "layer " << layer << " out of range");
   // The hosting stage is the last boundary <= layer: with duplicates
   // (empty stages) upper_bound lands past the *last* duplicate, which is
-  // exactly the later-begun stage the linear scan below selects.  Integer
+  // exactly the later-begun stage a linear scan selects.  Integer
   // comparisons only, so the answers are identical (asserted by
-  // tests/test_incremental_cost.cpp against the full-rescan twin).
+  // tests/test_incremental_cost.cpp against tests/cost_oracles.hpp).
   const auto it =
       std::upper_bound(boundaries_.begin(), boundaries_.end(), layer);
   return static_cast<int>(it - boundaries_.begin()) - 1;
-}
-
-int StageMap::stage_of_full_rescan(std::size_t layer) const {
-  DYNMO_CHECK(layer < num_layers(), "layer " << layer << " out of range");
-  for (int s = 0; s < num_stages(); ++s) {
-    if (layer >= stage_begin(s) && layer < stage_end(s)) return s;
-  }
-  return num_stages() - 1;  // unreachable for valid maps
 }
 
 std::vector<double> StageMap::stage_loads(

@@ -48,9 +48,6 @@ class StageMap {
   /// stage); empty stages are skipped naturally.  O(log S) binary search
   /// over the boundaries.
   int stage_of(std::size_t layer) const;
-  /// Reference twin of stage_of: the original O(S) linear scan, kept alive
-  /// under test as the differential oracle for the binary search.
-  int stage_of_full_rescan(std::size_t layer) const;
 
   /// Per-stage sums of an arbitrary per-layer quantity.
   std::vector<double> stage_loads(std::span<const double> per_layer) const;

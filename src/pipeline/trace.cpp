@@ -34,14 +34,6 @@ void Trace::write_chrome_json(const std::string& path) const {
   DYNMO_CHECK(out.good(), "short write to " << path);
 }
 
-double Trace::stage_busy_s(int stage) const {
-  double acc = 0.0;
-  for (const auto& e : events) {
-    if (e.stage == stage) acc += e.duration_s;
-  }
-  return acc;
-}
-
 std::pair<PipelineResult, Trace> simulate_traced(ScheduleKind kind,
                                                  const StageCosts& costs) {
   Trace trace;

@@ -31,9 +31,6 @@ struct Trace {
   std::string to_chrome_json() const;
   /// Write to a file; throws dynmo::Error on I/O failure.
   void write_chrome_json(const std::string& path) const;
-
-  /// Total busy seconds of one stage.
-  double stage_busy_s(int stage) const;
 };
 
 /// Like pipeline::simulate(), but also returns the full op timeline.

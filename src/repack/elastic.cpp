@@ -67,18 +67,4 @@ bool JobManagerClient::resize_gpu_claim(int gpus) {
   return true;
 }
 
-SplitOutcome split_active_workers(const comm::Communicator& comm,
-                                  const std::vector<bool>& active_mask) {
-  DYNMO_CHECK(static_cast<int>(active_mask.size()) == comm.size(),
-              "active mask size " << active_mask.size()
-                                  << " != communicator size " << comm.size());
-  const bool mine = active_mask[static_cast<std::size_t>(comm.rank())];
-  SplitOutcome out;
-  // color 0 for survivors, NOCOLOR (<0) for released ranks; key preserves
-  // the pipeline stage order.
-  out.active = comm.split(mine ? 0 : -1, comm.rank());
-  out.released = !mine;
-  return out;
-}
-
 }  // namespace dynmo::repack

@@ -1,8 +1,8 @@
 // Elastic resource management (paper §3.4.2).
 //
 // After re-packing, released GPUs must (a) be fenced off from the training
-// communicator — done with a communicator split, the ncclCommSplit()
-// analogue — and (b) be returned to the cluster manager.  The paper
+// communicator — the threaded runtime does it with Communicator::split, the
+// ncclCommSplit() analogue — and (b) be returned to the cluster manager.  The paper
 // integrates with ECK (Elastic Cloud on Kubernetes) by PATCHing the pod
 // spec's resource requests/limits; JobManagerClient reproduces that
 // handshake against a ControlPlane — an in-process mock API server
@@ -12,11 +12,8 @@
 
 #include <map>
 #include <mutex>
-#include <optional>
 #include <string>
 #include <vector>
-
-#include "comm/communicator.hpp"
 
 namespace dynmo::repack {
 
@@ -50,8 +47,6 @@ class ControlPlane {
 
   /// GPUs not currently claimed by any pod (schedulable capacity).
   virtual int free_gpus() const = 0;
-
-  virtual int total_gpus() const = 0;
 };
 
 /// In-process stand-in for the ECK-managed Kubernetes control plane.
@@ -61,13 +56,9 @@ class ControlPlane {
 /// this mock has none; the fleet::Arbiter is the backend that does.
 class MockEckCluster : public ControlPlane {
  public:
-  explicit MockEckCluster(int total_gpus) : free_gpus_(0),
-                                            total_gpus_(total_gpus) {}
-
   int patch_pod(const PatchRequest& req) override;
 
   int free_gpus() const override;
-  int total_gpus() const override { return total_gpus_; }
   const std::vector<PatchRequest>& patches() const { return patches_; }
 
   /// A pending job grabs up to n GPUs; returns how many it got.
@@ -77,8 +68,7 @@ class MockEckCluster : public ControlPlane {
   mutable std::mutex mu_;
   std::vector<PatchRequest> patches_;
   std::map<std::string, int> allocated_;  ///< current claim per pod
-  int free_gpus_;
-  int total_gpus_;
+  int free_gpus_ = 0;
 };
 
 class JobManagerClient {
@@ -101,18 +91,5 @@ class JobManagerClient {
   std::string pod_;
   int claimed_;
 };
-
-/// Outcome of fencing released workers off the training communicator.
-struct SplitOutcome {
-  std::optional<comm::Communicator> active;  ///< set iff this rank stays
-  bool released = false;
-};
-
-/// Every rank of `comm` calls this with the post-repack active mask
-/// (indexed by current rank).  Active ranks get the new, smaller
-/// communicator (rank order preserved); released ranks get released=true
-/// and no communicator — exactly ncclCommSplit with NOCOLOR.
-SplitOutcome split_active_workers(const comm::Communicator& comm,
-                                  const std::vector<bool>& active_mask);
 
 }  // namespace dynmo::repack

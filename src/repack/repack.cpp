@@ -1,32 +1,10 @@
 #include "repack/repack.hpp"
 
 #include <algorithm>
-#include <numeric>
 
 #include "core/error.hpp"
 
 namespace dynmo::repack {
-
-namespace {
-
-/// Worker w → node hosting deployment stage w.
-std::vector<int> worker_nodes(const cluster::Deployment& dep,
-                              std::size_t num_workers) {
-  DYNMO_CHECK(num_workers <= static_cast<std::size_t>(dep.num_stages()),
-              num_workers << " workers but the deployment has "
-                          << dep.num_stages() << " stages");
-  std::vector<int> nodes(num_workers);
-  for (std::size_t w = 0; w < num_workers; ++w) {
-    nodes[w] = dep.node(static_cast<int>(w));
-  }
-  return nodes;
-}
-
-}  // namespace
-
-int FirstFitResult::active_workers() const {
-  return static_cast<int>(std::count(active.begin(), active.end(), true));
-}
 
 FirstFitResult repack_first_fit(std::vector<double> mem_usage,
                                 std::vector<std::size_t> num_layers,
@@ -127,114 +105,17 @@ ContiguousRepackResult repack_contiguous(const ContiguousRepackRequest& req,
   return out;
 }
 
-FirstFitResult repack_first_fit(std::vector<double> mem_usage,
-                                std::vector<std::size_t> num_layers,
-                                double max_mem, int target_num_workers,
-                                const cluster::Deployment& deployment) {
-  DYNMO_CHECK(mem_usage.size() == num_layers.size(),
-              "mem_usage/num_layers size mismatch");
-  DYNMO_CHECK(max_mem > 0.0, "max_mem must be positive");
-  const auto node_of = worker_nodes(deployment, mem_usage.size());
-
-  FirstFitResult res;
-  res.active.assign(mem_usage.size(), true);
-
-  // Distinct nodes, each with its member workers.
-  std::vector<int> nodes = node_of;
-  std::sort(nodes.begin(), nodes.end());
-  nodes.erase(std::unique(nodes.begin(), nodes.end()), nodes.end());
-
-  const auto node_members = [&](int node) {
-    std::vector<int> m;
-    for (std::size_t w = 0; w < node_of.size(); ++w) {
-      if (node_of[w] == node && res.active[w]) m.push_back(static_cast<int>(w));
-    }
-    return m;
-  };
-
-  bool progressed = true;
-  while (progressed) {
-    progressed = false;
-    // Easiest node first: fewest active workers, then least resident memory.
-    std::vector<int> order = nodes;
-    std::erase_if(order, [&](int n) { return node_members(n).empty(); });
-    if (order.size() <= 1) break;
-    std::sort(order.begin(), order.end(), [&](int a, int b) {
-      const auto ma = node_members(a);
-      const auto mb = node_members(b);
-      double mem_a = 0.0;
-      double mem_b = 0.0;
-      for (int w : ma) mem_a += mem_usage[static_cast<std::size_t>(w)];
-      for (int w : mb) mem_b += mem_usage[static_cast<std::size_t>(w)];
-      if (ma.size() != mb.size()) return ma.size() < mb.size();
-      if (mem_a != mem_b) return mem_a < mem_b;
-      return a < b;
-    });
-
-    for (int victim : order) {
-      const auto members = node_members(victim);
-      const int still_active = res.active_workers();
-      if (still_active - static_cast<int>(members.size()) <
-          target_num_workers) {
-        continue;  // vacating this node would undershoot the floor
-      }
-      // Trial placement: pour each member into the fullest fitting survivor
-      // on another node; all-or-nothing.
-      std::vector<double> trial_mem = mem_usage;
-      std::vector<std::pair<int, int>> moves;  // (src, dst)
-      bool fits = true;
-      for (int src : members) {
-        int best_dst = -1;
-        for (std::size_t w = 0; w < node_of.size(); ++w) {
-          const int dst = static_cast<int>(w);
-          if (!res.active[w] || node_of[w] == victim) continue;
-          if (trial_mem[w] + trial_mem[static_cast<std::size_t>(src)] >=
-              max_mem) {
-            continue;
-          }
-          if (best_dst < 0 ||
-              trial_mem[w] > trial_mem[static_cast<std::size_t>(best_dst)]) {
-            best_dst = dst;
-          }
-        }
-        if (best_dst < 0) {
-          fits = false;
-          break;
-        }
-        trial_mem[static_cast<std::size_t>(best_dst)] +=
-            trial_mem[static_cast<std::size_t>(src)];
-        trial_mem[static_cast<std::size_t>(src)] = 0.0;
-        moves.emplace_back(src, best_dst);
-      }
-      if (!fits) continue;
-      // Commit.
-      for (const auto& [src, dst] : moves) {
-        const auto isrc = static_cast<std::size_t>(src);
-        const auto idst = static_cast<std::size_t>(dst);
-        res.active[isrc] = false;
-        for (std::size_t lyr = 0; lyr < num_layers[isrc]; ++lyr) {
-          res.transfers.push_back(Transfer{src, dst, lyr});
-        }
-        mem_usage[idst] += mem_usage[isrc];
-        mem_usage[isrc] = 0.0;
-        num_layers[idst] += num_layers[isrc];
-        num_layers[isrc] = 0;
-      }
-      ++res.nodes_freed;
-      progressed = true;
-      break;  // re-rank nodes after every vacation
-    }
-  }
-  res.mem_usage = std::move(mem_usage);
-  res.num_layers = std::move(num_layers);
-  return res;
-}
-
 ContiguousRepackResult repack_contiguous(const ContiguousRepackRequest& req,
                                          int num_workers,
                                          const cluster::Deployment& deployment) {
-  const auto node_of =
-      worker_nodes(deployment, static_cast<std::size_t>(num_workers));
+  DYNMO_CHECK(num_workers <= deployment.num_stages(),
+              num_workers << " workers but the deployment has "
+                          << deployment.num_stages() << " stages");
+  // Worker w → node hosting deployment stage w.
+  std::vector<int> node_of(static_cast<std::size_t>(num_workers));
+  for (int w = 0; w < num_workers; ++w) {
+    node_of[static_cast<std::size_t>(w)] = deployment.node(w);
+  }
   ContiguousRepackResult res = repack_contiguous(req, num_workers);
 
   const auto count_freed = [&](int active) {

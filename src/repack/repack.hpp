@@ -11,7 +11,7 @@
 //    stages must stay contiguous in model order), leaving released trailing
 //    workers with empty stages.
 //
-// Both entry points have a cluster::Deployment-aware overload that prefers
+// repack_contiguous() has a cluster::Deployment-aware overload that prefers
 // vacating *whole nodes*: a fully emptied node can be handed back to the
 // job manager as a schedulable unit, and the survivors stay NVLink-adjacent
 // instead of straddling a half-empty node.
@@ -36,8 +36,6 @@ struct FirstFitResult {
   std::vector<bool> active;          ///< per-worker, after consolidation
   std::vector<double> mem_usage;     ///< per-worker, after consolidation
   std::vector<std::size_t> num_layers;  ///< per-worker, after consolidation
-  int nodes_freed = 0;  ///< whole nodes emptied (deployment overload only)
-  int active_workers() const;
 };
 
 /// Algorithm 2: iterate worker pairs (src, dst>src); when their combined
@@ -46,17 +44,6 @@ struct FirstFitResult {
 FirstFitResult repack_first_fit(std::vector<double> mem_usage,
                                 std::vector<std::size_t> num_layers,
                                 double max_mem, int target_num_workers);
-
-/// Node-aware Algorithm 2: worker w is deployment stage w.  Nodes are
-/// vacated atomically, easiest (fewest active workers, least memory)
-/// first; a node moves only if *all* of its workers fit onto survivors on
-/// other nodes, with each source poured into the fullest fitting survivor
-/// so light nodes drain into heavy ones.  Partial vacations are not
-/// attempted — a half-empty node frees no schedulable unit.
-FirstFitResult repack_first_fit(std::vector<double> mem_usage,
-                                std::vector<std::size_t> num_layers,
-                                double max_mem, int target_num_workers,
-                                const cluster::Deployment& deployment);
 
 struct ContiguousRepackRequest {
   std::vector<double> memory_bytes;  ///< per layer

@@ -1,10 +1,8 @@
 #include "runtime/checkpoint.hpp"
 
+#include <algorithm>
 #include <cstring>
-#include <fstream>
 
-#include "balance/partition.hpp"
-#include "comm/message.hpp"
 #include "core/error.hpp"
 #include "core/rng.hpp"
 
@@ -37,12 +35,17 @@ constexpr std::size_t kPackedLayerStateBytes = 5 * sizeof(double) + 2;
 model::LayerState unpack_layer_state(comm::Unpacker& u) {
   model::LayerState s;
   s.weight_density = u.get<double>();
-  s.frozen = u.get<std::uint8_t>() != 0;
+  const auto frozen = u.get<std::uint8_t>();
+  DYNMO_CHECK(frozen <= 1, "frozen flag " << int{frozen} << " is not 0 or 1");
+  s.frozen = frozen != 0;
   s.attn_density = u.get<double>();
   s.token_fraction = u.get<double>();
   s.moe_load = u.get<double>();
   s.compute_scale = u.get<double>();
-  s.spmm_backend = static_cast<hw::SpmmBackend>(u.get<std::uint8_t>());
+  const auto backend = u.get<std::uint8_t>();
+  DYNMO_CHECK(backend <= static_cast<std::uint8_t>(hw::SpmmBackend::Cusparse),
+              "spmm_backend " << int{backend} << " is not a known backend");
+  s.spmm_backend = static_cast<hw::SpmmBackend>(backend);
   return s;
 }
 
@@ -73,7 +76,54 @@ void parse_field(CheckpointField tag, std::size_t field_off,
   }
 }
 
+/// Smallest pack_layer_tensors() entry: the layer key plus an empty
+/// tensor's rows, cols and float count.
+constexpr std::size_t kMinLayerTensorBytes = 4 * sizeof(std::uint64_t);
+
 }  // namespace
+
+void pack_tensor(comm::Packer& p, const tensor::Tensor& t) {
+  p.put<std::uint64_t>(t.rows());
+  p.put<std::uint64_t>(t.cols());
+  p.put_span(t.data());
+}
+
+tensor::Tensor unpack_tensor(comm::Unpacker& u) {
+  const auto rows = u.get<std::uint64_t>();
+  const auto cols = u.get<std::uint64_t>();
+  const auto data = u.get_vector<float>();
+  // Divide instead of multiplying rows * cols: a corrupted shape whose
+  // product wraps past 2^64 must fail here, not reach the allocator.
+  const bool shape_ok = (rows == 0 || cols == 0)
+                            ? data.empty()
+                            : data.size() / rows == cols &&
+                                  data.size() % rows == 0;
+  DYNMO_CHECK(shape_ok, "tensor shape " << rows << "x" << cols << " != "
+                                        << data.size() << " floats");
+  tensor::Tensor t(rows, cols);
+  std::copy(data.begin(), data.end(), t.data().begin());
+  return t;
+}
+
+void pack_layer_tensors(comm::Packer& p, const LayerTensors& layers) {
+  p.put<std::uint64_t>(layers.size());
+  for (const auto& [layer, t] : layers) {
+    p.put(layer);
+    pack_tensor(p, t);
+  }
+}
+
+void unpack_layer_tensors(comm::Unpacker& u, LayerTensors& into) {
+  const auto n = u.get<std::uint64_t>();
+  DYNMO_CHECK(n <= u.remaining() / kMinLayerTensorBytes,
+              "layer count " << n << " exceeds the " << u.remaining()
+                             << " bytes left");
+  for (std::uint64_t i = 0; i < n; ++i) {
+    const auto layer = u.get<std::uint64_t>();
+    DYNMO_CHECK(!into.contains(layer), "layer " << layer << " appears twice");
+    into.emplace(layer, unpack_tensor(u));
+  }
+}
 
 const char* to_string(CheckpointField f) {
   switch (f) {
@@ -109,13 +159,7 @@ std::vector<std::byte> Checkpoint::serialize() const {
   }
   {
     comm::Packer f;
-    f.put<std::uint64_t>(weights.size());
-    for (const auto& [layer, w] : weights) {
-      f.put(layer);
-      f.put<std::uint64_t>(w.rows());
-      f.put<std::uint64_t>(w.cols());
-      f.put_span(w.data());
-    }
+    pack_layer_tensors(f, weights);
     put_field(p, CheckpointField::Weights, std::move(f));
   }
 
@@ -152,6 +196,10 @@ Checkpoint Checkpoint::deserialize(std::span<const std::byte> bytes) {
                                        << kVersion << ")");
 
   Checkpoint ckpt;
+  constexpr CheckpointField kFields[] = {
+      CheckpointField::Iteration, CheckpointField::StageMap,
+      CheckpointField::LayerStates, CheckpointField::Weights};
+  std::uint32_t seen = 0;  // bit t set once field tag t has been read
   while (!u.exhausted()) {
     const std::size_t field_off = u.pos();
     std::uint16_t raw_tag = 0;
@@ -165,6 +213,15 @@ Checkpoint Checkpoint::deserialize(std::span<const std::byte> bytes) {
                   std::to_string(body.size() - field_off) +
                   " bytes left of a " + std::to_string(body.size()) +
                   "-byte body)");
+    }
+    if (std::ranges::find(kFields, static_cast<CheckpointField>(raw_tag)) !=
+        std::end(kFields)) {
+      DYNMO_CHECK((seen & (1u << raw_tag)) == 0,
+                  "checkpoint field '"
+                      << to_string(static_cast<CheckpointField>(raw_tag))
+                      << "' appears twice (again at stream offset "
+                      << field_off << ")");
+      seen |= 1u << raw_tag;
     }
     switch (static_cast<CheckpointField>(raw_tag)) {
       case CheckpointField::Iteration:
@@ -203,30 +260,7 @@ Checkpoint Checkpoint::deserialize(std::span<const std::byte> bytes) {
       case CheckpointField::Weights:
         parse_field(CheckpointField::Weights, field_off, payload,
                     [&](comm::Unpacker& f) {
-                      const auto n = f.get<std::uint64_t>();
-                      for (std::uint64_t i = 0; i < n; ++i) {
-                        const auto layer = f.get<std::uint64_t>();
-                        const auto rows = f.get<std::uint64_t>();
-                        const auto cols = f.get<std::uint64_t>();
-                        const auto data = f.get_vector<float>();
-                        // Divide instead of multiplying rows * cols: a
-                        // corrupted shape whose product wraps past 2^64
-                        // must fail here, not reach the Tensor allocator.
-                        const bool shape_ok =
-                            (rows == 0 || cols == 0)
-                                ? data.empty()
-                                : data.size() / rows == cols &&
-                                      data.size() % rows == 0;
-                        DYNMO_CHECK(shape_ok,
-                                    "layer " << layer << " weight shape "
-                                             << rows << "x" << cols
-                                             << " != " << data.size()
-                                             << " floats");
-                        tensor::Tensor t(rows, cols);
-                        std::copy(data.begin(), data.end(),
-                                  t.data().begin());
-                        ckpt.weights.insert_or_assign(layer, std::move(t));
-                      }
+                      unpack_layer_tensors(f, ckpt.weights);
                     });
         break;
       default:
@@ -236,6 +270,22 @@ Checkpoint Checkpoint::deserialize(std::span<const std::byte> bytes) {
         break;
     }
   }
+
+  // Cross-field rules: every field present, and the states and weights
+  // describe layers of the stage map.
+  for (const CheckpointField f : kFields) {
+    DYNMO_CHECK((seen & (1u << static_cast<std::uint16_t>(f))) != 0,
+                "checkpoint field '" << to_string(f) << "' is missing");
+  }
+  const std::size_t layers = ckpt.stage_map.num_layers();
+  DYNMO_CHECK(ckpt.layer_states.empty() || ckpt.layer_states.size() == layers,
+              "checkpoint field 'layer_states' holds "
+                  << ckpt.layer_states.size() << " states for a " << layers
+                  << "-layer stage_map");
+  DYNMO_CHECK(ckpt.weights.empty() || ckpt.weights.rbegin()->first < layers,
+              "checkpoint field 'weights' holds layer "
+                  << ckpt.weights.rbegin()->first << " of a " << layers
+                  << "-layer stage_map");
 
   {
     comm::Unpacker tail(bytes.subspan(body.size()));
@@ -247,27 +297,6 @@ Checkpoint Checkpoint::deserialize(std::span<const std::byte> bytes) {
                     << "): bit corruption in a structurally valid stream");
   }
   return ckpt;
-}
-
-void Checkpoint::save(const std::string& path) const {
-  const auto bytes = serialize();
-  std::ofstream out(path, std::ios::binary | std::ios::trunc);
-  DYNMO_CHECK(out.good(), "cannot open checkpoint file " << path);
-  out.write(reinterpret_cast<const char*>(bytes.data()),
-            static_cast<std::streamsize>(bytes.size()));
-  DYNMO_CHECK(out.good(), "short write to " << path);
-}
-
-Checkpoint Checkpoint::load(const std::string& path) {
-  std::ifstream in(path, std::ios::binary | std::ios::ate);
-  DYNMO_CHECK(in.good(), "cannot open checkpoint file " << path);
-  const auto size = static_cast<std::size_t>(in.tellg());
-  in.seekg(0);
-  std::vector<std::byte> bytes(size);
-  in.read(reinterpret_cast<char*>(bytes.data()),
-          static_cast<std::streamsize>(size));
-  DYNMO_CHECK(in.good(), "short read from " << path);
-  return deserialize(bytes);
 }
 
 bool Checkpoint::operator==(const Checkpoint& other) const {
@@ -295,18 +324,6 @@ bool Checkpoint::operator==(const Checkpoint& other) const {
     if (!std::equal(a.begin(), a.end(), b.begin())) return false;
   }
   return true;
-}
-
-Checkpoint reshard_for_restart(Checkpoint ckpt, int new_workers,
-                               std::span<const double> balance_weights) {
-  DYNMO_CHECK(new_workers > 0, "need at least one worker");
-  DYNMO_CHECK(balance_weights.size() == ckpt.stage_map.num_layers(),
-              "balance weight count mismatch");
-  balance::PartitionRequest req;
-  req.weights.assign(balance_weights.begin(), balance_weights.end());
-  req.num_stages = new_workers;
-  ckpt.stage_map = balance::PartitionBalancer{}.balance(req).map;
-  return ckpt;
 }
 
 }  // namespace dynmo::runtime

@@ -15,6 +15,12 @@
 // [u16 tag][u64 size][payload], so deserialize() can both name the field a
 // truncated/corrupt stream died in and skip fields it does not know
 // (forward compatibility within a version).
+//
+// The tensor codec below (pack_tensor / unpack_tensor and the layer →
+// tensor map built on it) is the one wire form of a tensor: the checkpoint's
+// Weights field, the threaded runtime's activation sends and its
+// checkpoint gather all use it, so every reader validates shapes the same
+// way.
 #pragma once
 
 #include <cstdint>
@@ -23,6 +29,7 @@
 #include <string>
 #include <vector>
 
+#include "comm/message.hpp"
 #include "model/layer.hpp"
 #include "pipeline/stage_map.hpp"
 #include "tensor/tensor.hpp"
@@ -39,6 +46,23 @@ enum class CheckpointField : std::uint16_t {
 
 const char* to_string(CheckpointField f);
 
+/// Layer index → weights, as the threaded runtime holds and ships them.
+using LayerTensors = std::map<std::uint64_t, tensor::Tensor>;
+
+/// Append one tensor: [u64 rows][u64 cols][u64 count][count × f32].
+void pack_tensor(comm::Packer& p, const tensor::Tensor& t);
+/// Read one pack_tensor() record.  Throws dynmo::Error unless the float
+/// count is exactly rows × cols — checked by division, so a corrupted shape
+/// whose product wraps past 2^64 is rejected before any allocation.
+tensor::Tensor unpack_tensor(comm::Unpacker& u);
+
+/// Append a layer map: [u64 n], then n × ([u64 layer] pack_tensor).
+void pack_layer_tensors(comm::Packer& p, const LayerTensors& layers);
+/// Read one pack_layer_tensors() record into `into`.  Throws dynmo::Error
+/// on a layer already present in `into` (a duplicate within the record, or
+/// a layer another record already supplied).
+void unpack_layer_tensors(comm::Unpacker& u, LayerTensors& into);
+
 struct Checkpoint {
   static constexpr std::uint32_t kMagic = 0x44594e4d;  // "DYNM"
   /// v2: tagged [tag][size][payload] field framing (v1 was positional and
@@ -49,7 +73,7 @@ struct Checkpoint {
   pipeline::StageMap stage_map;
   std::vector<model::LayerState> layer_states;
   /// Layer weights (threaded runtime); may be empty for simulated sessions.
-  std::map<std::uint64_t, tensor::Tensor> weights;
+  LayerTensors weights;
 
   /// Serialize to a byte buffer (stable across platforms of equal
   /// endianness; includes an integrity checksum).
@@ -58,23 +82,14 @@ struct Checkpoint {
   /// messages are specific (docs/RUNTIME.md "Failure reporting"): a
   /// structural failure names the field and the byte offset it occurred
   /// at; a stream that parses structurally but fails the integrity check
-  /// reports both checksum values.
+  /// reports both checksum values.  Structurally, each of the four fields
+  /// must appear exactly once (unknown tags are skipped); `frozen` must be
+  /// 0 or 1 and `spmm_backend` a known backend; `layer_states` must be
+  /// empty or hold one state per layer of `stage_map`; and every weight's
+  /// layer must be a layer of `stage_map`.
   static Checkpoint deserialize(std::span<const std::byte> bytes);
-
-  /// Convenience file I/O.
-  void save(const std::string& path) const;
-  static Checkpoint load(const std::string& path);
 
   bool operator==(const Checkpoint& other) const;
 };
-
-/// Re-shard a checkpoint's stage map for a new worker count during restart
-/// (the "reloaded and resharded" path): layers are re-partitioned by the
-/// given per-layer weights onto `new_workers` stages.  The checkpoint's
-/// dynamic layer states and weights are preserved untouched.  Both shrink
-/// (new_workers < current) and expand (new_workers > current) restarts go
-/// through here — see runtime::ElasticController for the decision side.
-Checkpoint reshard_for_restart(Checkpoint ckpt, int new_workers,
-                               std::span<const double> balance_weights);
 
 }  // namespace dynmo::runtime

@@ -27,7 +27,7 @@ ElasticController::ElasticController(ElasticConfig cfg, int initial_workers,
       bootstrap_link_(std::move(bootstrap_link)),
       owned_cluster_(cfg_.cluster == nullptr
                          ? std::optional<repack::MockEckCluster>(
-                               std::in_place, initial_workers)
+                               std::in_place)
                          : std::nullopt),
       cluster_(cfg_.cluster != nullptr ? cfg_.cluster : &*owned_cluster_),
       job_(cluster_, cfg_.pod, initial_workers) {

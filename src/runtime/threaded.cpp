@@ -188,20 +188,15 @@ tensor::Tensor make_input(std::int64_t iter, int mb,
 void send_tensor(const comm::Communicator& c, int dst, comm::Tag tag,
                  const tensor::Tensor& t) {
   comm::Packer p;
-  p.put<std::uint64_t>(t.rows());
-  p.put<std::uint64_t>(t.cols());
-  p.put_span(t.data());
+  pack_tensor(p, t);
   c.send(dst, tag, p.take());
 }
 
 tensor::Tensor tensor_from_payload(const comm::Message& m) {
   comm::Unpacker u(m.payload);
-  const auto rows = u.get<std::uint64_t>();
-  const auto cols = u.get<std::uint64_t>();
-  const auto data = u.get_vector<float>();
-  DYNMO_CHECK(data.size() == rows * cols, "tensor payload shape mismatch");
-  tensor::Tensor t(rows, cols);
-  std::copy(data.begin(), data.end(), t.data().begin());
+  tensor::Tensor t = unpack_tensor(u);
+  DYNMO_CHECK(u.exhausted(), "tensor payload has " << u.remaining()
+                                                   << " trailing bytes");
   return t;
 }
 
@@ -330,7 +325,7 @@ ThreadedReport ThreadedPipeline::run(const std::vector<PlanPhase>& phases) {
   const auto worker_main = [&world, &phases, cfg, trace, fs, plan](int rank) {
     const comm::Communicator wcomm = world.world_comm(rank);
     std::optional<comm::Communicator> coll = wcomm;  // collective group
-    std::map<std::size_t, tensor::Tensor> weights;
+    LayerTensors weights;
     WorkerStats stats;
     std::int64_t global_it = 0;  // consistent input stream across phases
 
@@ -386,13 +381,7 @@ ThreadedReport ThreadedPipeline::run(const std::vector<PlanPhase>& phases) {
       const comm::Tag gtag = gather_tag(epoch);
       {
         comm::Packer p;
-        p.put<std::uint64_t>(weights.size());
-        for (const auto& [l, w] : weights) {
-          p.put<std::uint64_t>(l);
-          p.put<std::uint64_t>(w.rows());
-          p.put<std::uint64_t>(w.cols());
-          p.put_span(w.data());
-        }
+        pack_layer_tensors(p, weights);
         wcomm.send(0, gtag, p.take());
       }
       std::vector<std::byte> blob;
@@ -404,16 +393,7 @@ ThreadedReport ThreadedPipeline::run(const std::vector<PlanPhase>& phases) {
         if (!alive[static_cast<std::size_t>(r)]) continue;
         const comm::Message msg = recv_msg(r, gtag);
         comm::Unpacker u(msg.payload);
-        const auto n = u.get<std::uint64_t>();
-        for (std::uint64_t i = 0; i < n; ++i) {
-          const auto l = u.get<std::uint64_t>();
-          const auto rows = u.get<std::uint64_t>();
-          const auto cols = u.get<std::uint64_t>();
-          const auto data = u.get_vector<float>();
-          tensor::Tensor t(rows, cols);
-          std::copy(data.begin(), data.end(), t.data().begin());
-          ckpt.weights.emplace(l, std::move(t));
-        }
+        unpack_layer_tensors(u, ckpt.weights);
       }
       DYNMO_CHECK(ckpt.weights.size() == cfg.num_layers,
                   "checkpoint covers " << ckpt.weights.size() << " of "

@@ -75,12 +75,6 @@ void TraceWriter::append_row(Table& t, const std::string& line) {
   finalized_ = false;
 }
 
-std::int64_t TraceWriter::rows_written(std::string_view name) const {
-  std::scoped_lock lock(mu_);
-  const auto index = &table_spec(name) - table_specs().data();
-  return tables_[static_cast<std::size_t>(index)].rows;
-}
-
 template <typename Row>
 void TraceWriter::write(const Row& row) {
   // Keys in column-list order: tools/query_trace.py cross-checks every row

@@ -43,7 +43,6 @@ class TraceWriter {
 
   const std::string& dir() const { return cfg_.dir; }
   const TelemetryConfig& config() const { return cfg_; }
-  std::int64_t rows_written(std::string_view table) const;
 
  private:
   struct Table {

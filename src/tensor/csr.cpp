@@ -26,44 +26,6 @@ CsrMatrix CsrMatrix::from_dense(const Tensor& dense, float abs_threshold) {
   return m;
 }
 
-CsrMatrix CsrMatrix::from_dense_with_indices(
-    const Tensor& dense, std::span<const std::uint32_t> keep_flat_indices) {
-  std::vector<std::uint32_t> sorted(keep_flat_indices.begin(),
-                                    keep_flat_indices.end());
-  std::sort(sorted.begin(), sorted.end());
-  CsrMatrix m;
-  m.rows_ = dense.rows();
-  m.cols_ = dense.cols();
-  m.row_offsets_.assign(m.rows_ + 1, 0);
-  m.values_.reserve(sorted.size());
-  m.col_indices_.reserve(sorted.size());
-  std::size_t cur_row = 0;
-  for (std::uint32_t flat : sorted) {
-    const std::size_t r = flat / m.cols_;
-    const std::size_t c = flat % m.cols_;
-    DYNMO_CHECK(r < m.rows_, "keep index " << flat << " out of range");
-    while (cur_row < r) {
-      m.row_offsets_[++cur_row] = static_cast<std::uint32_t>(m.values_.size());
-    }
-    m.values_.push_back(dense.at(r, c));
-    m.col_indices_.push_back(static_cast<std::uint32_t>(c));
-  }
-  while (cur_row < m.rows_) {
-    m.row_offsets_[++cur_row] = static_cast<std::uint32_t>(m.values_.size());
-  }
-  return m;
-}
-
-Tensor CsrMatrix::to_dense() const {
-  Tensor t(rows_, cols_);
-  for (std::size_t r = 0; r < rows_; ++r) {
-    for (std::uint32_t i = row_offsets_[r]; i < row_offsets_[r + 1]; ++i) {
-      t.at(r, col_indices_[i]) = values_[i];
-    }
-  }
-  return t;
-}
-
 Tensor CsrMatrix::spmm_left(const Tensor& x) const {
   DYNMO_CHECK(x.cols() == rows_, "spmm shape mismatch: x is "
                                      << x.rows() << 'x' << x.cols()

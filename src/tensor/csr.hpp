@@ -19,12 +19,6 @@ class CsrMatrix {
   /// of Algorithm 1.
   static CsrMatrix from_dense(const Tensor& dense, float abs_threshold);
 
-  /// Compress keeping exactly the given flat indices (row-major order).
-  static CsrMatrix from_dense_with_indices(
-      const Tensor& dense, std::span<const std::uint32_t> keep_flat_indices);
-
-  Tensor to_dense() const;
-
   std::size_t rows() const { return rows_; }
   std::size_t cols() const { return cols_; }
   std::size_t nnz() const { return values_.size(); }

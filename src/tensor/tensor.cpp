@@ -42,32 +42,8 @@ Tensor matmul(const Tensor& a, const Tensor& b) {
   return c;
 }
 
-Tensor linear(const Tensor& x, const Tensor& w, std::span<const float> bias) {
-  Tensor y = matmul(x, w);
-  if (!bias.empty()) {
-    DYNMO_CHECK(bias.size() == y.cols(), "bias length mismatch");
-    for (std::size_t i = 0; i < y.rows(); ++i) {
-      auto row = y.row(i);
-      for (std::size_t j = 0; j < row.size(); ++j) row[j] += bias[j];
-    }
-  }
-  return y;
-}
-
 void relu_inplace(Tensor& t) {
   for (float& v : t.data()) v = std::max(v, 0.0f);
-}
-
-double frobenius_norm(const Tensor& t) {
-  double acc = 0.0;
-  for (float v : t.data()) acc += static_cast<double>(v) * v;
-  return std::sqrt(acc);
-}
-
-double abs_sum(std::span<const float> xs) {
-  double acc = 0.0;
-  for (float v : xs) acc += std::abs(static_cast<double>(v));
-  return acc;
 }
 
 std::vector<std::uint32_t> topk_abs_indices(std::span<const float> xs,
@@ -81,16 +57,6 @@ std::vector<std::uint32_t> topk_abs_indices(std::span<const float> xs,
                    });
   idx.resize(k);
   return idx;
-}
-
-float kth_abs_value(std::span<const float> xs, std::size_t k) {
-  DYNMO_CHECK(k >= 1 && k <= xs.size(),
-              "kth_abs_value: k=" << k << " size=" << xs.size());
-  std::vector<float> mags(xs.size());
-  for (std::size_t i = 0; i < xs.size(); ++i) mags[i] = std::abs(xs[i]);
-  std::nth_element(mags.begin(), mags.begin() + static_cast<std::ptrdiff_t>(k - 1),
-                   mags.end(), std::greater<>());
-  return mags[k - 1];
 }
 
 }  // namespace dynmo::tensor

@@ -29,10 +29,6 @@ class Tensor {
   std::size_t size() const { return data_.size(); }
   bool empty() const { return data_.empty(); }
 
-  float& at(std::size_t r, std::size_t c) {
-    DYNMO_ASSERT(r < rows_ && c < cols_, "tensor index out of range");
-    return data_[r * cols_ + c];
-  }
   float at(std::size_t r, std::size_t c) const {
     DYNMO_ASSERT(r < rows_ && c < cols_, "tensor index out of range");
     return data_[r * cols_ + c];
@@ -63,24 +59,12 @@ class Tensor {
 /// C = A * B (row-major), multi-threaded over rows of A.
 Tensor matmul(const Tensor& a, const Tensor& b);
 
-/// y = x * W + b applied row-wise; W is (in, out).  b may be empty.
-Tensor linear(const Tensor& x, const Tensor& w, std::span<const float> bias);
-
 /// In-place ReLU.
 void relu_inplace(Tensor& t);
-
-/// Frobenius norm.
-double frobenius_norm(const Tensor& t);
-
-/// Sum of absolute values.
-double abs_sum(std::span<const float> xs);
 
 /// Indices of the k largest |values| within xs (unordered).  k is clamped
 /// to xs.size().
 std::vector<std::uint32_t> topk_abs_indices(std::span<const float> xs,
                                             std::size_t k);
-
-/// The k-th largest |value| (the global-pruning threshold); k >= 1.
-float kth_abs_value(std::span<const float> xs, std::size_t k);
 
 }  // namespace dynmo::tensor

@@ -20,7 +20,7 @@ TEST(Config, ParsesTypedValues) {
       "\n");
   EXPECT_EQ(cfg.size(), 4u);
   EXPECT_EQ(cfg.get_int("stages"), 8);
-  EXPECT_DOUBLE_EQ(cfg.get_double("ratio"), 0.25);
+  EXPECT_EQ(cfg.get_string("ratio"), "0.25");
   EXPECT_EQ(cfg.get_string("name"), "early_exit");
   EXPECT_TRUE(cfg.get_bool("repack"));
 }
@@ -45,7 +45,6 @@ TEST(Config, RejectsMalformed) {
   EXPECT_THROW((void)Config::parse("no equals sign"), Error);
   EXPECT_THROW((void)Config::parse("= value"), Error);
   EXPECT_THROW((void)Config::parse("n = 12x").get_int("n"), Error);
-  EXPECT_THROW((void)Config::parse("n = one").get_double("n"), Error);
 }
 
 TEST(Config, UnknownKeysDetected) {

@@ -86,12 +86,12 @@ TEST(CostBuilder, StageToRankPricesBoundarySends) {
   const auto m = model::make_gpt({.num_blocks = 8,
                                   .include_embedding = false,
                                   .include_lm_head = false});
-  const auto dep = cluster::Deployment::make_linear(
+  const auto dep = cluster::Deployment::make(
       cluster::Topology::make_homogeneous(
           2, 2, hw::GpuSpec::h100_sxm5(),
           cluster::default_link(cluster::LinkType::NvLink),
           cluster::default_link(cluster::LinkType::InfiniBand)),
-      4);
+      {0, 1, 2, 3});
   pipeline::CostBuilderConfig cfg{2, 4};
   cfg.stage_to_rank.assign(dep.stage_to_rank().begin(),
                            dep.stage_to_rank().end());
@@ -163,7 +163,6 @@ TEST(Facade, ToStringRoundTrip) {
   EXPECT_STREQ(balance::to_string(balance::Algorithm::Partition),
                "partition");
   EXPECT_STREQ(balance::to_string(balance::BalanceBy::Time), "by_time");
-  EXPECT_STREQ(pipeline::to_string(pipeline::ScheduleKind::ZbH1), "zb-h1");
 }
 
 TEST(Facade, SessionRunsEveryUseCaseEndToEnd) {

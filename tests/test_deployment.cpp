@@ -13,6 +13,13 @@
 namespace dynmo {
 namespace {
 
+/// Stage s → rank s.
+cluster::Deployment linear(cluster::Topology topo, int num_stages) {
+  std::vector<int> ranks(static_cast<std::size_t>(num_stages));
+  std::iota(ranks.begin(), ranks.end(), 0);
+  return cluster::Deployment::make(std::move(topo), std::move(ranks));
+}
+
 cluster::Deployment two_dgx_h100(int num_stages = 16) {
   return cluster::Deployment::make_topology_aware(
       cluster::Topology::make_dgx_h100(2), num_stages);
@@ -40,12 +47,9 @@ TEST(Deployment, FactoriesAndAccessors) {
   for (int s = 9; s < 16; ++s) EXPECT_EQ(dep.node(s), dep.node(8));
   EXPECT_NE(dep.node(0), dep.node(8));
   EXPECT_EQ(dep.gpu(0).name, "H100-SXM5-80GB");
-  EXPECT_FALSE(dep.heterogeneous());
   EXPECT_DOUBLE_EQ(dep.min_mem_capacity(), hw::GpuSpec::h100_sxm5().mem_capacity);
 
-  const auto linear =
-      cluster::Deployment::make_linear(cluster::Topology::make_dgx_h100(2), 4);
-  EXPECT_EQ(linear.rank(3), 3);
+  EXPECT_EQ(linear(cluster::Topology::make_dgx_h100(2), 4).rank(3), 3);
 }
 
 TEST(Deployment, MakeValidatesPlacement) {
@@ -80,7 +84,6 @@ TEST(Deployment, GroupIsNodeGrouped) {
 
 TEST(Deployment, StageCapacitiesTrackGpuThroughput) {
   const auto hetero = hetero_pod();
-  EXPECT_TRUE(hetero.heterogeneous());
   const auto cap = hetero.stage_capacities();
   // The topology-aware placement starts on the H100 node; A100 stages get
   // proportionally lower capacity.
@@ -101,7 +104,7 @@ TEST(Deployment, CostModelMembershipIgnoresGpusPerNode) {
   EXPECT_EQ(net.node_of(7), 0);
   EXPECT_EQ(net.node_of(8), 1);
   EXPECT_EQ(net.tier(4, 7), comm::LinkTier::NvLink);  // flat rule says IB
-  const auto g = net.group(std::vector<int>{0, 4, 7, 8, 12});
+  const auto g = dep.group(std::vector<int>{0, 4, 7, 8, 12});
   ASSERT_EQ(g.num_nodes(), 2);
   EXPECT_EQ(g.node_sizes[0], 3);
   EXPECT_EQ(g.node_sizes[1], 2);
@@ -137,7 +140,7 @@ TEST(RepackDeployment, ContiguousSnapsToNodeBoundary) {
   // 3 nodes x 4 GPUs, 12 workers; memory fits into 6 workers, but 6 leaves
   // node 1 half-occupied — the node-aware packer keeps 8 so the release is
   // exactly one whole node.
-  const auto dep = cluster::Deployment::make_linear(
+  const auto dep = linear(
       cluster::Topology::make_homogeneous(
           3, 4, hw::GpuSpec::h100_sxm5(),
           cluster::default_link(cluster::LinkType::NvLink),
@@ -165,7 +168,7 @@ TEST(RepackDeployment, ContiguousSnapsToNodeBoundary) {
 TEST(RepackDeployment, ContiguousHonorsExplicitTargetExactly) {
   // Forced Fig-4 sweeps pin the worker count; the node-aware packer must
   // deliver it verbatim, never snap it to a node boundary.
-  const auto dep = cluster::Deployment::make_linear(
+  const auto dep = linear(
       cluster::Topology::make_homogeneous(
           3, 4, hw::GpuSpec::h100_sxm5(),
           cluster::default_link(cluster::LinkType::NvLink),
@@ -185,7 +188,7 @@ TEST(RepackDeployment, ContiguousHonorsExplicitTargetExactly) {
 TEST(RepackDeployment, ContiguousKeepsPartialReleaseWhenNoNodeFrees) {
   // 2 nodes x 4: packing to 5 frees 3 GPUs of node 1 but no whole node;
   // snapping up would free nothing, so the memory-minimal pack is kept.
-  const auto dep = cluster::Deployment::make_linear(
+  const auto dep = linear(
       cluster::Topology::make_homogeneous(
           2, 4, hw::GpuSpec::h100_sxm5(),
           cluster::default_link(cluster::LinkType::NvLink),
@@ -198,45 +201,6 @@ TEST(RepackDeployment, ContiguousKeepsPartialReleaseWhenNoNodeFrees) {
   const auto aware = repack::repack_contiguous(req, 8, dep);
   EXPECT_EQ(aware.active_workers, 5);
   EXPECT_EQ(aware.whole_nodes_freed, 0);
-}
-
-TEST(RepackDeployment, FirstFitVacatesWholeNodes) {
-  // 2 nodes x 2 workers; the light node (2, 3) drains into the heavy one.
-  const auto dep = cluster::Deployment::make_linear(
-      cluster::Topology::make_homogeneous(
-          2, 2, hw::GpuSpec::h100_sxm5(),
-          cluster::default_link(cluster::LinkType::NvLink),
-          cluster::default_link(cluster::LinkType::InfiniBand)),
-      4);
-  const auto res = repack::repack_first_fit({30, 30, 10, 10}, {2, 2, 1, 1},
-                                            /*max_mem=*/100, /*target=*/1,
-                                            dep);
-  EXPECT_EQ(res.nodes_freed, 1);
-  EXPECT_FALSE(res.active[2]);
-  EXPECT_FALSE(res.active[3]);
-  EXPECT_TRUE(res.active[0]);
-  EXPECT_TRUE(res.active[1]);
-  for (const auto& t : res.transfers) {
-    EXPECT_LT(t.dst_worker, 2);  // everything lands on the surviving node
-  }
-  // Memory conserved and within capacity.
-  for (std::size_t w = 0; w < 4; ++w) {
-    if (res.active[w]) EXPECT_LT(res.mem_usage[w], 100.0);
-  }
-}
-
-TEST(RepackDeployment, FirstFitRespectsTargetFloor) {
-  const auto dep = cluster::Deployment::make_linear(
-      cluster::Topology::make_homogeneous(
-          2, 2, hw::GpuSpec::h100_sxm5(),
-          cluster::default_link(cluster::LinkType::NvLink),
-          cluster::default_link(cluster::LinkType::InfiniBand)),
-      4);
-  // Vacating a node would leave 2 active < floor 3: nothing moves.
-  const auto res =
-      repack::repack_first_fit({10, 10, 10, 10}, {1, 1, 1, 1}, 100, 3, dep);
-  EXPECT_EQ(res.active_workers(), 4);
-  EXPECT_EQ(res.nodes_freed, 0);
 }
 
 // The acceptance test of the whole API move: the session runs
@@ -295,7 +259,7 @@ cluster::Topology rails_cluster(int nodes, int gpus_per_node) {
       cluster::default_link(cluster::LinkType::InfiniBand));
 }
 
-TEST(GridDeployment, FactoriesAccessorsAndReplicaViews) {
+TEST(GridDeployment, FactoriesAndAccessors) {
   const auto dep = cluster::Deployment::make_grid_topology_aware(
       rails_cluster(4, 4), /*data_parallel=*/4, /*num_stages=*/4,
       cluster::GridOrientation::DpInner);
@@ -304,13 +268,12 @@ TEST(GridDeployment, FactoriesAccessorsAndReplicaViews) {
   EXPECT_EQ(static_cast<int>(dep.grid_to_rank().size()), 16);
   // rank(stage) is the dp = 0 view.
   for (int s = 0; s < 4; ++s) EXPECT_EQ(dep.rank(s), dep.rank(0, s));
-  // Each replica view is a dp = 1 deployment over the same topology with
-  // the replica's slice of the grid.
+  // Each replica's pipeline placement is its slice of the grid.
   for (int d = 0; d < 4; ++d) {
-    const auto rep = dep.replica(d);
-    EXPECT_EQ(rep.data_parallel(), 1);
-    EXPECT_EQ(rep.num_stages(), 4);
-    for (int s = 0; s < 4; ++s) EXPECT_EQ(rep.rank(s), dep.rank(d, s));
+    for (int s = 0; s < 4; ++s) {
+      EXPECT_EQ(dep.stage_to_rank(d)[static_cast<std::size_t>(s)],
+                dep.rank(d, s));
+    }
   }
   // DpInner: a stage's peers share one node; PpInner: they all sit apart.
   for (int s = 0; s < 4; ++s) {

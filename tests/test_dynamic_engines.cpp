@@ -2,7 +2,9 @@
 // determinism, and the statistical properties the paper relies on.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
+#include <limits>
 
 #include "core/error.hpp"
 #include "core/rng.hpp"
@@ -38,14 +40,15 @@ TEST(PruningSchedule, ZhuGuptaCheckpoints) {
   EXPECT_DOUBLE_EQ(s.sparsity_at(100000), 0.9);
 }
 
-TEST(PruningSchedule, StepDetection) {
-  PruningSchedule s;
-  EXPECT_TRUE(s.is_pruning_step(3000));
-  EXPECT_TRUE(s.is_pruning_step(5000));
-  EXPECT_TRUE(s.is_pruning_step(7000));
-  EXPECT_FALSE(s.is_pruning_step(3500));
-  EXPECT_FALSE(s.is_pruning_step(8000));
-  EXPECT_FALSE(s.is_pruning_step(0));
+TEST(PruningEngine, DynamismPointsAreThePruningSteps) {
+  const auto m = gpt(8);
+  const PruningEngine eng(m, {});
+  EXPECT_TRUE(eng.is_dynamism_point(3000));
+  EXPECT_TRUE(eng.is_dynamism_point(5000));
+  EXPECT_TRUE(eng.is_dynamism_point(7000));
+  EXPECT_FALSE(eng.is_dynamism_point(3500));
+  EXPECT_FALSE(eng.is_dynamism_point(8000));
+  EXPECT_FALSE(eng.is_dynamism_point(0));
 }
 
 TEST(PruningEngine, GlobalRetentionMatchesTarget) {
@@ -104,20 +107,35 @@ TEST(PruningEngine, MonotoneSparsityMonotoneDensity) {
 
 // --------------------------------------------------------------- freezing
 
+/// Per layer, whether step() reports it frozen at iteration `it`.
+std::vector<bool> frozen_at(FreezingEngine& eng, const model::ModelDesc& m,
+                            std::int64_t it) {
+  std::vector<model::LayerState> st(m.num_layers());
+  eng.step(it, st);
+  std::vector<bool> frozen;
+  for (const auto& s : st) frozen.push_back(s.frozen);
+  return frozen;
+}
+
 TEST(FreezingEngine, FrontBiasAndMonotonicity) {
   const auto m = gpt(24);
   FreezingEngine eng(m, {});
+  constexpr auto kNever = std::numeric_limits<std::int64_t>::max();
+  std::vector<std::int64_t> first_frozen(m.num_layers(), kNever);
   // Freezing never reverses.
   std::size_t prev = 0;
   for (std::int64_t it = 0; it <= 20000; it += 300) {
-    const std::size_t now = eng.frozen_count(it);
+    const auto frozen = frozen_at(eng, m, it);
+    const auto now =
+        static_cast<std::size_t>(std::count(frozen.begin(), frozen.end(), true));
     EXPECT_GE(now, prev);
     prev = now;
+    for (std::size_t l = 0; l < frozen.size(); ++l) {
+      if (frozen[l] && first_frozen[l] == kNever) first_frozen[l] = it;
+    }
   }
   // Early layers freeze earlier on average than late prunable layers.
-  const auto early_at = eng.freeze_iteration(1);
-  const auto later_at = eng.freeze_iteration(17);
-  EXPECT_LE(early_at, later_at);
+  EXPECT_LE(first_frozen[1], first_frozen[17]);
 }
 
 TEST(FreezingEngine, TailNeverFreezes) {
@@ -137,11 +155,13 @@ TEST(FreezingEngine, DecisionsLandOnCheckBoundaries) {
   FreezingEngineConfig cfg;
   cfg.check_interval = 300;
   FreezingEngine eng(m, cfg);
-  for (std::size_t l = 0; l < m.num_layers(); ++l) {
-    const auto at = eng.freeze_iteration(l);
-    if (at != std::numeric_limits<std::int64_t>::max()) {
-      EXPECT_EQ(at % 300, 0) << l;
+  auto prev = frozen_at(eng, m, 0);
+  for (std::int64_t it = 1; it <= 6000; ++it) {
+    const auto now = frozen_at(eng, m, it);
+    if (now != prev) {
+      EXPECT_EQ(it % 300, 0) << it;
     }
+    prev = now;
   }
 }
 
@@ -480,12 +500,14 @@ std::vector<std::size_t> route_tokens(const model::ModelDesc& m,
   Rng rng(hash_mix(cfg.seed ^ 0xab1e, layer,
                    static_cast<std::uint64_t>(iter) * 131 +
                        static_cast<std::uint64_t>(microbatch)));
+  double total = 0.0;
+  for (const double w : gate) total += w;
   for (std::size_t t = 0; t < cfg.tokens_per_microbatch; ++t) {
-    std::size_t first = rng.categorical(gate);
+    std::size_t first = rng.categorical(gate, total);
     ++counts[first];
     for (std::size_t j = 1; j < k; ++j) {
-      std::size_t e = rng.categorical(gate);
-      while (e == first) e = rng.categorical(gate);
+      std::size_t e = rng.categorical(gate, total);
+      while (e == first) e = rng.categorical(gate, total);
       ++counts[e];
     }
   }

@@ -105,7 +105,7 @@ TEST(ElasticController, PayoffWindowGatesShrink) {
 TEST(ElasticController, PayoffWindowGatesExpand) {
   // A job that starts at 5 workers below its 8-worker ceiling, with 3 GPUs
   // another job already freed sitting in the queue.
-  repack::MockEckCluster eck(8);
+  repack::MockEckCluster eck;
   repack::JobManagerClient other(&eck, "other-job", 8);
   ASSERT_TRUE(other.resize_gpu_claim(5));
   ASSERT_EQ(eck.free_gpus(), 3);
@@ -148,7 +148,7 @@ TEST(ElasticController, ExpandHysteresisHoldsOnMarginalGain) {
 }
 
 TEST(ElasticController, PendingJobShrinksTheExpandTarget) {
-  repack::MockEckCluster eck(8);
+  repack::MockEckCluster eck;
   auto cfg = fast_cfg();
   cfg.cluster = &eck;
   ElasticController ctl(cfg, 8, test_link);
@@ -166,7 +166,7 @@ TEST(ElasticController, PendingJobShrinksTheExpandTarget) {
 }
 
 TEST(ElasticController, CommitFailsWhenRacedToTheCapacity) {
-  repack::MockEckCluster eck(8);
+  repack::MockEckCluster eck;
   auto cfg = fast_cfg();
   cfg.cluster = &eck;
   ElasticController ctl(cfg, 8, test_link);
@@ -198,7 +198,7 @@ TEST(ElasticController, RestartStallScalesWithStateAndFloorsAtAlpha) {
 // corrupted the first pod's accounting and faked free capacity.  With
 // per-pod claims, grow grants can never sum past what was actually free.
 TEST(MockEck, TwoClientsCannotGrowPastTheFreeCapacity) {
-  repack::MockEckCluster eck(8);
+  repack::MockEckCluster eck;
   repack::JobManagerClient a(&eck, "pod-a", 8);
   ASSERT_TRUE(a.resize_gpu_claim(5));  // releases 3
   ASSERT_EQ(eck.free_gpus(), 3);
@@ -217,7 +217,7 @@ TEST(MockEck, TwoClientsCannotGrowPastTheFreeCapacity) {
 }
 
 TEST(MockEck, ConcurrentGrowsNeverOversubscribe) {
-  repack::MockEckCluster eck(16);
+  repack::MockEckCluster eck;
   repack::JobManagerClient releaser(&eck, "releaser", 8);
   ASSERT_TRUE(releaser.resize_gpu_claim(0));
   ASSERT_EQ(eck.free_gpus(), 8);
@@ -330,7 +330,7 @@ TEST(SessionElastic, SpikeAfterShrinkExpandsBackAndRecoversThroughput) {
   // whose multi-second stall would need a window beyond this short run.)
   cfg.elastic.restart_alpha_s = 0.5;
   cfg.elastic.checkpoint_bw = 16.0 * 1024 * 1024 * 1024;
-  repack::MockEckCluster eck(8);
+  repack::MockEckCluster eck;
   cfg.elastic.cluster = &eck;
 
   SpikeEngine engine(/*lull_begin=*/1000, /*lull_end=*/2000, /*heavy=*/4);
@@ -408,7 +408,7 @@ TEST(SessionElastic, ForcedShrinkTakesTheCheckpointPathDeterministically) {
     cfg.elastic.restart_alpha_s = 0.5;
     cfg.elastic.checkpoint_bw = 16.0 * 1024 * 1024 * 1024;
     cfg.telemetry.dir = trace_dir;
-    repack::MockEckCluster eck(8);
+    repack::MockEckCluster eck;
     cfg.elastic.cluster = &eck;
 
     runtime::TrainingSession session(m, cfg, nullptr);
@@ -504,7 +504,7 @@ TEST(SessionElastic, ShrinkQuoteIsTheStallTheForcedShrinkCharges) {
 
   const auto run_once = [&m](bool preempt, const std::string& trace_dir,
                              runtime::TransitionQuote* quote) {
-    repack::MockEckCluster eck(8);
+    repack::MockEckCluster eck;
     auto cfg = quote_session_config(&eck);
     cfg.telemetry.dir = trace_dir;
     runtime::TrainingSession session(m, cfg, nullptr);
@@ -546,7 +546,7 @@ TEST(SessionElastic, ShrinkQuoteIsTheStallTheForcedShrinkCharges) {
 
 TEST(SessionElastic, OutOfRangeQuotesAreInfeasibleButPriceTodaysMap) {
   const auto m = spike_model();
-  repack::MockEckCluster eck(8);
+  repack::MockEckCluster eck;
   runtime::TrainingSession session(m, quote_session_config(&eck), nullptr);
   EXPECT_THROW((void)session.quote_shrink(4), Error);  // not started
   session.start();

@@ -173,7 +173,7 @@ runtime::SessionConfig recoverable_loss_config(repack::ControlPlane* eck) {
 
 TEST(SessionFault, WorkerLossShrinksToSurvivorsAndPricesLostWork) {
   const auto m = fault_model();
-  repack::MockEckCluster eck(8);
+  repack::MockEckCluster eck;
   auto cfg = recoverable_loss_config(&eck);
   cfg.checkpoint_interval_iters = 200;  // last cut at 400, loss at 450
   runtime::TrainingSession session(m, cfg, nullptr);
@@ -193,7 +193,7 @@ TEST(SessionFault, WorkerLossShrinksToSurvivorsAndPricesLostWork) {
   EXPECT_GT(r.checkpoint_write_s, 0.0);
 
   // Identical run → identical modeled outcome.
-  repack::MockEckCluster eck2(8);
+  repack::MockEckCluster eck2;
   auto cfg2 = recoverable_loss_config(&eck2);
   cfg2.checkpoint_interval_iters = 200;
   runtime::TrainingSession session2(m, cfg2, nullptr);
@@ -206,7 +206,7 @@ TEST(SessionFault, WorkerLossShrinksToSurvivorsAndPricesLostWork) {
 TEST(SessionFault, TighterCheckpointCadenceTradesWriteCostForLostWork) {
   const auto m = fault_model();
   const auto run_with_cadence = [&m](std::int64_t cadence) {
-    repack::MockEckCluster eck(8);
+    repack::MockEckCluster eck;
     auto cfg = recoverable_loss_config(&eck);
     cfg.checkpoint_interval_iters = cadence;
     runtime::TrainingSession session(m, cfg, nullptr);
@@ -225,7 +225,7 @@ TEST(SessionFault, TighterCheckpointCadenceTradesWriteCostForLostWork) {
 
 TEST(SessionFault, UnrecoverableLossFailsTheRunWithoutCharges) {
   const auto m = fault_model();
-  repack::MockEckCluster eck(8);
+  repack::MockEckCluster eck;
   auto cfg = recoverable_loss_config(&eck);
   cfg.elastic.min_workers = 8;  // survivors below the floor → unrecoverable
   runtime::TrainingSession session(m, cfg, nullptr);
@@ -319,7 +319,7 @@ TEST(SessionFault, RestartStallLedgerIsConsistentAcrossTables) {
   const auto dir =
       (std::filesystem::path(testing::TempDir()) / "fault_ledger").string();
   std::filesystem::remove_all(dir);
-  repack::MockEckCluster eck(8);
+  repack::MockEckCluster eck;
   auto cfg = recoverable_loss_config(&eck);
   cfg.checkpoint_interval_iters = 200;
   cfg.telemetry.dir = dir;
@@ -361,7 +361,7 @@ TEST(SessionFault, RestartStallLedgerIsConsistentAcrossTables) {
 TEST(SessionFault, MtbfLossesAreDeterministicPerSeed) {
   const auto m = fault_model();
   const auto run_once = [&m]() {
-    repack::MockEckCluster eck(8);
+    repack::MockEckCluster eck;
     auto cfg = fault_session_config();
     cfg.elastic.enabled = true;
     cfg.elastic.interval = 500;

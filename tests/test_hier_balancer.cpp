@@ -129,10 +129,13 @@ TEST(HierBalancer, RejectsNonContiguousPlacements) {
   const auto start = pipeline::StageMap::uniform(64, 16);
   balance::DiffusionRequest req;
   req.weights.assign(64, 1.0);
-  const auto rr = place_round_robin(topo, 16);
-  EXPECT_THROW(HierarchicalBalancer(topo).balance(req, start,
-                                                  rr.stage_to_rank),
-               Error);
+  // Stages dealt across the two nodes like cards: 0, 8, 1, 9, ...
+  std::vector<int> rr;
+  for (int i = 0; i < 8; ++i) {
+    rr.push_back(i);
+    rr.push_back(8 + i);
+  }
+  EXPECT_THROW(HierarchicalBalancer(topo).balance(req, start, rr), Error);
 }
 
 TEST(DiffusionCapacities, EmptyCapacitiesMatchLegacyBehavior) {
@@ -160,7 +163,8 @@ TEST(DiffusionCapacities, LoadsConvergeProportionalToCapacity) {
 TEST(Migration, TopologyPricingChargesTheActualLink) {
   const auto topo = Topology::make_dgx_h100(2);
   const auto net = topo.make_cost_model();
-  const auto placement = place_linear(topo, 16);
+  std::vector<int> stage_to_rank(16);
+  std::iota(stage_to_rank.begin(), stage_to_rank.end(), 0);
 
   balance::MigrationPlan intra;
   intra.transfers.push_back({0, 0, 7, 1e9});  // stays on node 0
@@ -168,9 +172,9 @@ TEST(Migration, TopologyPricingChargesTheActualLink) {
   inter.transfers.push_back({0, 0, 8, 1e9});  // crosses to node 1
 
   const double t_intra =
-      intra.estimated_time_s(net, placement.stage_to_rank);
+      intra.estimated_time_s(net, stage_to_rank);
   const double t_inter =
-      inter.estimated_time_s(net, placement.stage_to_rank);
+      inter.estimated_time_s(net, stage_to_rank);
   // NVLink vs InfiniBand: ~18x bandwidth gap on the same payload.
   EXPECT_GT(t_inter, 10.0 * t_intra);
   // And the explicit-rank overload agrees with the identity default.

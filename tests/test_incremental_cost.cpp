@@ -33,6 +33,7 @@
 #include "balance/incremental.hpp"
 #include "balance/migration.hpp"
 #include "balance/rebalancer.hpp"
+#include "cost_oracles.hpp"
 #include "diff_check.hpp"
 #include "dynmo/dynmo.hpp"
 #include "pipeline/cost_builder.hpp"
@@ -129,7 +130,7 @@ TEST(StageOf, BinarySearchMatchesLinearScan) {
     const int stages = 1 + static_cast<int>(rng() % 12);
     const StageMap map = random_map(rng, layers, stages);
     for (std::size_t l = 0; l < layers; ++l) {
-      ASSERT_EQ(map.stage_of(l), map.stage_of_full_rescan(l))
+      ASSERT_EQ(map.stage_of(l), testing::stage_of_full_rescan(map, l))
           << map.to_string() << " layer " << l;
     }
   }
@@ -407,8 +408,9 @@ TEST(CostBuilderMemo, MatchesFullRescanUnderStateChurn) {
   const auto model = model::make_gpt({.num_blocks = 12,
                                       .include_embedding = false,
                                       .include_lm_head = false});
-  const pipeline::CostBuilder builder(model, model::LayerCostModel{},
-                                      comm::CostModel{}, {});
+  const model::LayerCostModel ref;
+  const pipeline::CostBuilder builder(model, ref, comm::CostModel{}, {});
+  const auto& cfg = builder.config();
   std::vector<model::LayerState> states(model.num_layers());
   std::mt19937_64 rng(0xcafe);
   StageMap map = StageMap::uniform(model.num_layers(), 4);
@@ -427,7 +429,8 @@ TEST(CostBuilderMemo, MatchesFullRescanUnderStateChurn) {
                        2 + static_cast<int>(rng() % 6));
     }
     const auto t_inc = builder.layer_times(states);
-    const auto t_ref = builder.layer_times_full_rescan(states);
+    const auto t_ref =
+        testing::layer_times_full_rescan(model, ref, cfg.micro_batch, states);
     ASSERT_EQ(t_inc.size(), t_ref.size());
     for (std::size_t l = 0; l < t_ref.size(); ++l) {
       ASSERT_EQ(t_inc[l].forward_s, t_ref[l].forward_s) << "layer " << l;
@@ -435,7 +438,8 @@ TEST(CostBuilderMemo, MatchesFullRescanUnderStateChurn) {
       ASSERT_EQ(t_inc[l].backward_weight_s, t_ref[l].backward_weight_s);
     }
     const auto m_inc = builder.layer_memory_bytes(states, map);
-    const auto m_ref = builder.layer_memory_bytes_full_rescan(states, map);
+    const auto m_ref = testing::layer_memory_bytes_full_rescan(
+        model, ref, cfg.micro_batch, cfg.num_microbatches, states, map);
     ASSERT_EQ(m_inc, m_ref) << "iter " << iter;
   }
 }

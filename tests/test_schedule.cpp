@@ -5,6 +5,7 @@
 
 #include "core/rng.hpp"
 #include "pipeline/schedule.hpp"
+#include "stage_costs_util.hpp"
 
 namespace dynmo::pipeline {
 namespace {
@@ -12,7 +13,7 @@ namespace {
 StageCosts uniform_costs(int stages, int microbatches, double fwd,
                          double bwd_in, double bwd_w, double send = 0.0) {
   StageCosts c(stages, microbatches);
-  for (int s = 0; s < stages; ++s) c.set_stage(s, fwd, bwd_in, bwd_w);
+  for (int s = 0; s < stages; ++s) testing::set_stage(c, s, fwd, bwd_in, bwd_w);
   for (int s = 0; s + 1 < stages; ++s) c.send(s) = send;
   return c;
 }
@@ -22,7 +23,7 @@ TEST(Schedule, SingleStageIsSumOfWork) {
   for (auto kind : {ScheduleKind::GPipe, ScheduleKind::OneFOneB,
                     ScheduleKind::ZbH1}) {
     const auto r = simulate(kind, c);
-    EXPECT_DOUBLE_EQ(r.makespan_s, 12.0) << to_string(kind);
+    EXPECT_DOUBLE_EQ(r.makespan_s, 12.0) << static_cast<int>(kind);
     EXPECT_DOUBLE_EQ(r.busy_s[0], 12.0);
     EXPECT_DOUBLE_EQ(r.avg_idleness(), 0.0);
   }
@@ -43,8 +44,8 @@ TEST(Schedule, BusyEqualsTotalWork) {
     const auto r = simulate(kind, c);
     const double busy =
         std::accumulate(r.busy_s.begin(), r.busy_s.end(), 0.0);
-    EXPECT_NEAR(busy, c.total_work(), 1e-9) << to_string(kind);
-    EXPECT_GE(r.makespan_s, c.total_work() / 4.0);
+    EXPECT_NEAR(busy, testing::total_work(c), 1e-9) << static_cast<int>(kind);
+    EXPECT_GE(r.makespan_s, testing::total_work(c) / 4.0);
   }
 }
 
@@ -78,8 +79,8 @@ TEST(Schedule, ZeroBubbleFillsWithWeightGrad) {
 
 TEST(Schedule, ImbalanceCreatesIdleness) {
   StageCosts c(4, 16);
-  for (int s = 0; s < 4; ++s) c.set_stage(s, 1.0, 1.0, 1.0);
-  c.set_stage(2, 3.0, 3.0, 3.0);  // hot stage
+  for (int s = 0; s < 4; ++s) testing::set_stage(c, s, 1.0, 1.0, 1.0);
+  testing::set_stage(c, 2, 3.0, 3.0, 3.0);  // hot stage
   const auto r = simulate(ScheduleKind::ZbH1, c);
   EXPECT_GT(r.avg_idleness(), 0.3);
   // The hot stage itself is the least idle.
@@ -90,8 +91,8 @@ TEST(Schedule, ImbalanceCreatesIdleness) {
 TEST(Schedule, MakespanTracksBottleneck) {
   // With m >> S, makespan ≈ m * bottleneck stage time.
   StageCosts c(4, 128);
-  for (int s = 0; s < 4; ++s) c.set_stage(s, 0.5, 0.5, 0.0);
-  c.set_stage(1, 1.0, 1.0, 0.0);
+  for (int s = 0; s < 4; ++s) testing::set_stage(c, s, 0.5, 0.5, 0.0);
+  testing::set_stage(c, 1, 1.0, 1.0, 0.0);
   const auto r = simulate(ScheduleKind::OneFOneB, c);
   EXPECT_NEAR(r.makespan_s, 128.0 * 2.0, 0.1 * 128.0 * 2.0);
 }
@@ -106,9 +107,9 @@ TEST(Schedule, CommDelayAddsToMakespan) {
 
 TEST(Schedule, EmptyStagePassesThrough) {
   StageCosts c(3, 4);
-  c.set_stage(0, 1, 1, 1);
-  c.set_stage(1, 0, 0, 0);  // re-packed-away worker
-  c.set_stage(2, 1, 1, 1);
+  testing::set_stage(c, 0, 1, 1, 1);
+  testing::set_stage(c, 1, 0, 0, 0);  // re-packed-away worker
+  testing::set_stage(c, 2, 1, 1, 1);
   const auto r = simulate(ScheduleKind::OneFOneB, c);
   EXPECT_DOUBLE_EQ(r.busy_s[1], 0.0);
   // Work must still complete on the other stages.
@@ -126,7 +127,7 @@ TEST(Schedule, PerMicrobatchVariationHandled) {
   }
   const auto r = simulate(ScheduleKind::OneFOneB, c);
   EXPECT_NEAR(std::accumulate(r.busy_s.begin(), r.busy_s.end(), 0.0),
-              c.total_work(), 1e-9);
+              testing::total_work(c), 1e-9);
 }
 
 class ScheduleSweep
@@ -148,7 +149,7 @@ TEST_P(ScheduleSweep, NoDeadlockAndSaneAccounting) {
   EXPECT_GT(r.makespan_s, 0.0);
   EXPECT_EQ(static_cast<int>(r.busy_s.size()), stages);
   const double busy = std::accumulate(r.busy_s.begin(), r.busy_s.end(), 0.0);
-  EXPECT_NEAR(busy, c.total_work(), 1e-6);
+  EXPECT_NEAR(busy, testing::total_work(c), 1e-6);
   for (int s = 0; s < stages; ++s) {
     EXPECT_GE(r.idle_s[static_cast<std::size_t>(s)], -1e-9);
     EXPECT_LE(r.busy_s[static_cast<std::size_t>(s)], r.makespan_s + 1e-9);

@@ -153,9 +153,6 @@ TEST(Telemetry, WriterReaderRoundTrip) {
     writer.write(et);
     writer.write(fe);
     writer.write(fd);
-    EXPECT_EQ(writer.rows_written("iterations"), 1);
-    EXPECT_EQ(writer.rows_written("elastic_transitions"), 1);
-    EXPECT_EQ(writer.rows_written("fleet_decisions"), 1);
     writer.finalize();
   }
 
@@ -163,6 +160,7 @@ TEST(Telemetry, WriterReaderRoundTrip) {
   EXPECT_EQ(reader.catalog().format, telemetry::kTraceFormat);
   EXPECT_EQ(reader.catalog().schema_version, telemetry::kSchemaVersion);
   EXPECT_EQ(reader.catalog().tables.size(), 7u);
+  for (const auto& t : reader.catalog().tables) EXPECT_EQ(t.rows, 1) << t.name;
 
   const auto& r = reader.run();
   EXPECT_EQ(r.producer, run.producer);
@@ -537,7 +535,7 @@ TEST(Telemetry, ElasticSessionRecordsTransitions) {
   cfg.elastic.payoff_window_iters = 600.0;
   cfg.elastic.restart_alpha_s = 0.5;
   cfg.elastic.checkpoint_bw = 16.0 * 1024 * 1024 * 1024;
-  repack::MockEckCluster eck(8);
+  repack::MockEckCluster eck;
   cfg.elastic.cluster = &eck;
   cfg.telemetry.dir = dir;
 

@@ -177,7 +177,7 @@ void run_session_elastic(const std::string& out, bool incremental) {
   cfg.elastic.payoff_window_iters = 600.0;
   cfg.elastic.restart_alpha_s = 0.5;
   cfg.elastic.checkpoint_bw = 16.0 * 1024 * 1024 * 1024;
-  repack::MockEckCluster eck(8);
+  repack::MockEckCluster eck;
   cfg.elastic.cluster = &eck;
   cfg.fault.losses = {{.iter = 250, .worker = 3}};
   cfg.fault.slowdowns = {
