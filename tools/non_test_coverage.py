@@ -1,14 +1,16 @@
 #!/usr/bin/env python3
 """Merge the gcov counters of a non-test coverage run and gate on them.
 
-    python3 tools/non_test_coverage.py [--list] BUILD_DIR
+    python3 tools/non_test_coverage.py BUILD_DIR
 
 BUILD_DIR is what tools/non_test_coverage.sh built and ran: every
 instrumented object under it (both library builds, benches, examples,
-tools, perfbench) is read with `gcov --json-format`.  Counters are merged
-per source line and per function (by demangled name, so each template
-instantiation and overload stays its own entry) over every object that
-compiled it.  Only sources under src/ are reported.
+tools, perfbench) is read with the `gcov --json-format` of the compiler
+that built it (g++-12 -> gcov-12).  Counters are merged per source line
+and per function (by demangled name, so each template instantiation and
+overload stays its own entry) over every object that compiled it.  Only
+sources under src/ are reported; every never-run function is listed with
+its never-run line count.
 
 Exit status 1 when a never-run function is missing from
 tools/non_test_coverage.allow, or when an allow-list entry names a
@@ -30,10 +32,25 @@ ALLOW = os.path.join(ROOT, "tools", "non_test_coverage.allow")
 SEP = " — "
 
 
-def gcov_json(obj):
+def gcov_for(build):
+    """The gcov that reads the .gcno files of BUILD_DIR's compiler."""
+    with open(os.path.join(build, "main", "CMakeCache.txt"),
+              encoding="utf-8") as f:
+        for line in f:
+            if line.startswith("CMAKE_CXX_COMPILER:"):
+                cxx = os.path.realpath(line.split("=", 1)[1].strip())
+                gcov = os.path.join(os.path.dirname(cxx),
+                                    os.path.basename(cxx).replace("g++",
+                                                                  "gcov"))
+                if gcov != cxx and os.path.exists(gcov):
+                    return gcov
+    return "gcov"
+
+
+def gcov_json(gcov, obj):
     """gcov's JSON report for one object file (x.cpp.o -> x.cpp.gcda)."""
     proc = subprocess.run(
-        ["gcov", "--json-format", "--stdout", "--demangled-names", obj],
+        [gcov, "--json-format", "--stdout", "--demangled-names", obj],
         cwd=os.path.dirname(obj), stdout=subprocess.PIPE,
         stderr=subprocess.DEVNULL, check=True)
     out = proc.stdout
@@ -49,14 +66,14 @@ def objects(build):
                 yield os.path.join(dirpath, f[:-len(".gcno")] + ".o")
 
 
-def merge(build):
+def merge(gcov, build):
     lines = {}   # (file, line) -> count
     funcs = {}   # (file, name) -> [count, start, end]
     objs = sorted(objects(build))
     if not objs:
         sys.exit(f"non_test_coverage: no instrumented objects under {build}")
     with concurrent.futures.ThreadPoolExecutor(4) as pool:
-        for docs in pool.map(gcov_json, objs):
+        for docs in pool.map(lambda obj: gcov_json(gcov, obj), objs):
             for doc in docs:
                 for f in doc["files"]:
                     path = os.path.normpath(
@@ -94,12 +111,15 @@ def read_allow():
 
 def main():
     ap = argparse.ArgumentParser(description=__doc__.split("\n")[0])
-    ap.add_argument("--list", action="store_true",
-                    help="print every never-run function")
     ap.add_argument("build")
     args = ap.parse_args()
 
-    lines, funcs = merge(os.path.abspath(args.build))
+    build = os.path.abspath(args.build)
+    gcov = gcov_for(build)
+    version = subprocess.run([gcov, "--version"], stdout=subprocess.PIPE,
+                             text=True, check=True).stdout.splitlines()[0]
+    print(f"non-test coverage: {version}")
+    lines, funcs = merge(gcov, build)
     dead_lines = {k for k, c in lines.items() if c == 0}
     dead = {k: v for k, v in funcs.items() if v[0] == 0}
 
@@ -114,10 +134,8 @@ def main():
     print(f"non-test coverage: src/ has {len(lines)} executable lines; "
           f"{len(dead_lines)} never ran, in {len(dead)} never-run functions "
           f"({len(dead) - len(unlisted)} allow-listed)")
-    if args.list:
-        for key in sorted(dead):
-            mark = " " if key in allow else "!"
-            print(f" {mark} {unrun(key):4d}  {key[0]} {key[1]}")
+    for key in sorted(dead):
+        print(f"  {unrun(key):4d}  {key[0]} {key[1]}")
     for key in unlisted:
         print(f"never-run, not allow-listed: {key[0]} {key[1]} "
               f"({unrun(key)} lines)")
