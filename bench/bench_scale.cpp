@@ -12,7 +12,9 @@
 // loop: its cost is the balancer's own and is swept elsewhere
 // (bench_micro_balancers); this bench isolates the decision-point math the
 // incremental surfaces replaced — per-stage re-summing, bottleneck
-// rescans, full-grid migration diffs.
+// rescans, full-grid migration diffs.  One candidate generator is timed
+// beside it: the `partition_us` column is the mean wall time of one
+// PartitionBalancer::balance call on the final profile and capacities.
 //
 // Exit-code gates (the scaling claim, enforced):
 //   * sub-millisecond mean per-decision latency at 16k ranks;
@@ -37,6 +39,7 @@
 #include <vector>
 
 #include "balance/incremental.hpp"
+#include "balance/partition.hpp"
 #include "bench_common.hpp"
 
 namespace {
@@ -52,6 +55,7 @@ struct SweepResult {
   double p50_us = 0.0;
   double p99_us = 0.0;
   double full_rescan_mean_us = 0.0;  ///< reference-twin cost, for contrast
+  double partition_us = 0.0;  ///< one PartitionBalancer::balance call
   double avg_touched_stages = 0.0;
   double total_plan_transfers = 0.0;
   std::size_t memory_bytes = 0;
@@ -70,7 +74,23 @@ pipeline::StageMap jiggle(std::mt19937_64& rng,
   return pipeline::StageMap::from_boundaries(std::move(b));
 }
 
-SweepResult run_size(int stages, int decisions) {
+/// Mean wall time of one Partition decision on `w` over `stages` stages of
+/// speeds `caps`.
+double time_partition_us(const std::vector<double>& w,
+                         const std::vector<double>& caps, int stages,
+                         int reps) {
+  balance::PartitionRequest req;
+  req.weights = w;
+  req.capacities = caps;
+  req.num_stages = stages;
+  const balance::PartitionBalancer partition;
+  const auto t0 = Clock::now();
+  for (int r = 0; r < reps; ++r) (void)partition.balance(req);
+  const auto t1 = Clock::now();
+  return std::chrono::duration<double, std::micro>(t1 - t0).count() / reps;
+}
+
+SweepResult run_size(int stages, int decisions, int partition_reps) {
   SweepResult out;
   out.stages = stages;
   out.decisions = decisions;
@@ -172,6 +192,7 @@ SweepResult run_size(int stages, int decisions) {
   out.p99_us = sorted[(sorted.size() * 99) / 100];
   out.full_rescan_mean_us =
       rescan_samples > 0 ? rescan_us_sum / rescan_samples : 0.0;
+  out.partition_us = time_partition_us(w, caps, stages, partition_reps);
   return out;
 }
 
@@ -190,17 +211,18 @@ int main(int argc, char** argv) {
   const int decisions = smoke ? 200 : 2000;
 
   std::printf("== decision-path scaling: 1k -> 16k ranks ==\n");
-  std::printf("%8s %8s %10s %10s %10s %12s %12s %14s %12s\n", "ranks",
-              "layers", "mean_us", "p50_us", "p99_us", "rescan_us",
-              "touched/dec", "plan_transfers", "mem_bytes");
+  std::printf("%8s %8s %10s %10s %10s %12s %12s %12s %14s %12s\n",
+              "ranks", "layers", "mean_us", "p50_us", "p99_us", "rescan_us",
+              "partition_us", "touched/dec", "plan_transfers", "mem_bytes");
   std::vector<SweepResult> results;
   for (const int s : sizes) {
-    results.push_back(run_size(s, decisions));
+    results.push_back(run_size(s, decisions, smoke ? 2 : 20));
     const auto& r = results.back();
-    std::printf("%8d %8zu %10.2f %10.2f %10.2f %12.2f %12.2f %14.0f %12zu\n",
-                r.stages, r.layers, r.mean_us, r.p50_us, r.p99_us,
-                r.full_rescan_mean_us, r.avg_touched_stages,
-                r.total_plan_transfers, r.memory_bytes);
+    std::printf(
+        "%8d %8zu %10.2f %10.2f %10.2f %12.2f %12.2f %12.2f %14.0f %12zu\n",
+        r.stages, r.layers, r.mean_us, r.p50_us, r.p99_us,
+        r.full_rescan_mean_us, r.partition_us, r.avg_touched_stages,
+        r.total_plan_transfers, r.memory_bytes);
   }
 
   if (json != nullptr) {

@@ -1,7 +1,10 @@
 #include "balance/partition.hpp"
 
 #include <algorithm>
+#include <cmath>
+#include <limits>
 #include <numeric>
+#include <optional>
 
 #include "core/error.hpp"
 
@@ -9,49 +12,88 @@ namespace dynmo::balance {
 
 namespace {
 
-struct ProbeResult {
-  std::vector<std::size_t> boundaries;
+constexpr double kInf = std::numeric_limits<double>::infinity();
+
+/// The exact search's termination and exactness rest on range sums of
+/// finite, non-negative values; anything else is rejected up front.
+void check_non_negative(std::span<const double> v, const char* what) {
+  for (std::size_t i = 0; i < v.size(); ++i) {
+    DYNMO_CHECK(std::isfinite(v[i]) && v[i] >= 0.0,
+                what << "[" << i << "] = " << v[i]
+                     << " is not a finite value >= 0");
+  }
+}
+
+/// The smallest cap c with `load <= c * k` in floating point: the cap at
+/// which a stage of speed k first holds `load` (k == 1 → `load` itself).
+double cap_for(double load, double k) {
+  if (k == 1.0) return load;
+  double c = load / k;
+  while (c * k < load) c = std::nextafter(c, kInf);
+  for (double d = std::nextafter(c, 0.0); d < c && d * k >= load;
+       d = std::nextafter(c, 0.0)) {
+    c = d;
+  }
+  return c;
+}
+
+struct Probe {
+  std::vector<std::size_t> boundaries;  ///< stages opened, never padded
   bool fits_stages = false;
   bool fits_memory = true;
-  double bottleneck = 0.0;
+  double bottleneck = 0.0;  ///< max stage load
+  /// The smallest cap that packs the same stages: every multi-layer
+  /// stage's load, capacity-normalized.  A single-layer stage packs at any
+  /// cap (an empty stage always takes its first layer).
+  double tight = 0.0;
+  /// The smallest cap above the probed one at which a stage that closed on
+  /// load alone would have taken its next layer; kInf if none did.
+  double next = kInf;
 };
 
 /// Greedy maximal packing: each stage takes layers while staying within the
-/// load cap and the memory cap.  Returns whether <= num_stages were used.
+/// load cap and the memory cap.  Fits when it uses <= num_stages stages.
 /// With per-stage capacities, stage s's load budget is cap * caps[s]: for a
 /// fixed stage order, filling each stage to its own budget uses the minimum
-/// number of stages, so the parametric search stays exact under
-/// heterogeneous speeds.
+/// number of stages.  Stage loads are summed left to right, as
+/// StageMap::stage_loads does; a range that starts later never sums higher,
+/// so the greedy count is exact in floating point too.
 ///
-/// `feasibility_only`: the parametric-search loops read nothing but
-/// fits_stages, and once the greedy packing has opened more than
-/// num_stages stages that bit can only stay false — so the probe returns
-/// the moment it overflows instead of packing the remaining layers.  The
-/// feasibility answer is identical (the overflow point does not depend on
-/// the skipped suffix); callers needing boundaries/bottleneck/fits_memory
-/// pass false.
-ProbeResult probe_maximal(std::span<const double> w,
-                          std::span<const double> mem, double cap,
-                          double memcap, int num_stages,
-                          std::span<const double> caps,
-                          bool feasibility_only = false) {
-  ProbeResult r;
+/// `feasibility_only`: the exact search reads fits_stages, tight and next
+/// only, and once the greedy packing has opened more than num_stages stages
+/// fits_stages can only stay false — so the probe returns the moment it
+/// overflows instead of packing the remaining layers.  Callers needing the
+/// full boundaries, bottleneck or fits_memory pass false.
+Probe probe_maximal(std::span<const double> w, std::span<const double> mem,
+                    double cap, double memcap, int num_stages,
+                    std::span<const double> caps,
+                    bool feasibility_only = false) {
+  Probe r;
   r.boundaries.push_back(0);
-  const auto stage_cap = [&](std::size_t s) {
-    if (caps.empty()) return cap;
-    return cap * caps[std::min(s, caps.size() - 1)];
+  const auto speed = [&](std::size_t s) {
+    return caps.empty() ? 1.0 : caps[std::min(s, caps.size() - 1)];
   };
   double load = 0.0;
   double m = 0.0;
-  double bottleneck = 0.0;
+  double budget = cap * speed(0);
+  const auto close_stage = [&](std::size_t end) {
+    r.bottleneck = std::max(r.bottleneck, load);
+    if (end - r.boundaries.back() >= 2) {
+      r.tight =
+          std::max(r.tight, cap_for(load, speed(r.boundaries.size() - 1)));
+    }
+  };
   for (std::size_t i = 0; i < w.size(); ++i) {
     const double lw = w[i];
     const double lm = mem.empty() ? 0.0 : mem[i];
-    const std::size_t stage = r.boundaries.size() - 1;
     const bool stage_empty = (r.boundaries.back() == i);
-    const bool over_load = load + lw > stage_cap(stage) && !stage_empty;
+    const bool over_load = load + lw > budget && !stage_empty;
     const bool over_mem = memcap > 0.0 && m + lm > memcap && !stage_empty;
     if (over_load || over_mem) {
+      if (!over_mem) {
+        r.next = std::min(
+            r.next, cap_for(load + lw, speed(r.boundaries.size() - 1)));
+      }
       // About to open another stage: with this push plus the terminal one
       // the final count is at least boundaries.size()+1 > num_stages.
       if (feasibility_only &&
@@ -59,8 +101,9 @@ ProbeResult probe_maximal(std::span<const double> w,
         r.fits_stages = false;
         return r;
       }
-      bottleneck = std::max(bottleneck, load);
+      close_stage(i);
       r.boundaries.push_back(i);
+      budget = cap * speed(r.boundaries.size() - 1);
       load = 0.0;
       m = 0.0;
     }
@@ -68,15 +111,9 @@ ProbeResult probe_maximal(std::span<const double> w,
     load += lw;
     m += lm;
   }
-  bottleneck = std::max(bottleneck, load);
+  close_stage(w.size());
   r.boundaries.push_back(w.size());
-  r.fits_stages =
-      static_cast<int>(r.boundaries.size()) - 1 <= num_stages;
-  r.bottleneck = bottleneck;
-  // Pad trailing empty stages so the map always has num_stages entries.
-  while (static_cast<int>(r.boundaries.size()) - 1 < num_stages) {
-    r.boundaries.push_back(w.size());
-  }
+  r.fits_stages = static_cast<int>(r.boundaries.size()) - 1 <= num_stages;
   return r;
 }
 
@@ -131,28 +168,67 @@ std::optional<std::vector<std::size_t>> probe_balanced(
   return b;
 }
 
+/// The exact parametric search (Nicol 1994; Pinar & Aykanat 2004): the
+/// smallest cap c >= floor at which the greedy packing fits num_stages.
+/// The probe at `hi` must fit.  Each probe snaps the bracket to a cap some
+/// packing actually reaches — a fitting probe lowers hi to its tight cap,
+/// a failing one raises lo to its next cap — so the search stops on the
+/// optimum itself rather than within a tolerance of it.
+double min_fitting_cap(std::span<const double> w, std::span<const double> mem,
+                       double memcap, int num_stages,
+                       std::span<const double> caps, double hi) {
+  double max_speed = 1.0;
+  double speed_sum = static_cast<double>(num_stages);
+  if (!caps.empty()) {
+    max_speed = *std::max_element(caps.begin(), caps.end());
+    speed_sum = std::accumulate(caps.begin(), caps.end(), 0.0);
+  }
+  // The heaviest layer lands somewhere, at best on the fastest stage.
+  const double floor =
+      cap_for(*std::max_element(w.begin(), w.end()), max_speed);
+  double lo = floor;
+  // First guesses: total work over total capacity, then that plus the
+  // heaviest layer — for equal speeds an upper bound on the optimum.
+  const double avg = std::accumulate(w.begin(), w.end(), 0.0) / speed_sum;
+  double c = avg;
+  for (int probes = 0; lo < hi; ++probes) {
+    if (probes == 1) c = avg + floor;
+    if (!(c > lo && c < hi)) c = lo;
+    const Probe p = probe_maximal(w, mem, c, memcap, num_stages, caps,
+                                  /*feasibility_only=*/true);
+    // c lies in [lo, hi), so each probe strictly narrows the bracket.
+    if (p.fits_stages) {
+      hi = std::max(floor, p.tight);
+      DYNMO_CHECK(hi <= c, "fitting probe at cap " << c << " needs " << hi);
+    } else {
+      lo = p.next;
+      DYNMO_CHECK(lo > c, "failing probe at cap " << c << " stops at " << lo);
+    }
+    c = lo + 0.5 * (hi - lo);
+  }
+  return hi;
+}
+
 }  // namespace
 
 double PartitionBalancer::optimal_bottleneck(std::span<const double> weights,
                                              int num_stages) {
   DYNMO_CHECK(num_stages > 0, "need stages");
+  check_non_negative(weights, "layer weight");
   if (weights.empty()) return 0.0;
-  std::vector<double> empty_mem;
-  double lo = *std::max_element(weights.begin(), weights.end());
   const double total = std::accumulate(weights.begin(), weights.end(), 0.0);
-  lo = std::max(lo, total / num_stages);
-  double hi = total;
-  for (int it = 0; it < 100 && hi - lo > 1e-12 * std::max(1.0, hi); ++it) {
-    const double mid = 0.5 * (lo + hi);
-    if (probe_maximal(weights, empty_mem, mid, 0.0, num_stages, {},
-                      /*feasibility_only=*/true)
-            .fits_stages) {
-      hi = mid;
-    } else {
-      lo = mid;
-    }
-  }
-  return hi;
+  DYNMO_CHECK(std::isfinite(total), "layer weights sum to " << total);
+  return min_fitting_cap(weights, {}, 0.0, num_stages, {}, total);
+}
+
+int PartitionBalancer::min_stages(std::span<const double> weights,
+                                  double cap) {
+  DYNMO_CHECK(cap >= 0.0, "stage cap " << cap << " is not >= 0");
+  check_non_negative(weights, "layer weight");
+  const auto p = probe_maximal(weights, {}, cap, 0.0,
+                               std::numeric_limits<int>::max(), {});
+  if (p.bottleneck > cap) return std::numeric_limits<int>::max();
+  return static_cast<int>(p.boundaries.size()) - 1;
 }
 
 PartitionResult PartitionBalancer::balance(const PartitionRequest& req) const {
@@ -167,42 +243,35 @@ PartitionResult PartitionBalancer::balance(const PartitionRequest& req) const {
               "capacity vector covers " << req.capacities.size()
                                         << " stages, request has "
                                         << req.num_stages);
+  check_non_negative(req.weights, "layer weight");
+  check_non_negative(req.memory_bytes, "layer memory_bytes");
   for (const double c : req.capacities) {
-    DYNMO_CHECK(c > 0.0, "stage capacities must be > 0");
+    DYNMO_CHECK(std::isfinite(c) && c > 0.0,
+                "stage capacities must be finite and > 0");
   }
 
   const std::span<const double> w(req.weights);
   const std::span<const double> mem(req.memory_bytes);
   const std::span<const double> caps(req.capacities);
+  const auto L = w.size();
+  const auto S = static_cast<std::size_t>(req.num_stages);
 
-  const double total = std::accumulate(w.begin(), w.end(), 0.0);
-  double max_cap = 1.0;
-  double min_cap = 1.0;
-  double cap_sum = static_cast<double>(req.num_stages);
-  if (!caps.empty()) {
-    max_cap = *std::max_element(caps.begin(), caps.end());
-    min_cap = *std::min_element(caps.begin(), caps.end());
-    cap_sum = std::accumulate(caps.begin(), caps.end(), 0.0);
-  }
-  // Bounds on the normalized bottleneck: the heaviest layer must land
-  // somewhere (best case the fastest stage); total work over total
-  // capacity; everything fits the first stage at hi.
-  double lo = *std::max_element(w.begin(), w.end()) / max_cap;
-  lo = std::max(lo, total / cap_sum);
-  double hi = total / min_cap;
-
-  // Parametric search over the bottleneck value.  The memory constraint can
-  // make low caps infeasible even when pure-load packing would fit, so the
-  // probe enforces both.
-  bool any_feasible =
-      probe_maximal(w, mem, hi, req.mem_capacity, req.num_stages, caps,
-                    /*feasibility_only=*/true)
-          .fits_stages;
-  if (!any_feasible) {
+  // Everything fits the slowest stage at hi.  The memory constraint can
+  // make every cap infeasible even when pure-load packing would fit, so
+  // the probes enforce both.
+  const double min_cap =
+      caps.empty() ? 1.0 : *std::min_element(caps.begin(), caps.end());
+  const double hi =
+      cap_for(std::accumulate(w.begin(), w.end(), 0.0), min_cap);
+  DYNMO_CHECK(std::isfinite(hi),
+              "capacity-normalized total load " << hi << " is not finite");
+  if (!probe_maximal(w, mem, hi, req.mem_capacity, req.num_stages, caps,
+                     /*feasibility_only=*/true)
+           .fits_stages) {
     // Memory alone forces more than num_stages stages — report least-bad.
     auto r = probe_maximal(w, mem, hi, req.mem_capacity, req.num_stages, caps);
-    r.boundaries.resize(static_cast<std::size_t>(req.num_stages));
-    r.boundaries.push_back(w.size());
+    r.boundaries.resize(S);
+    r.boundaries.push_back(L);
     PartitionResult out;
     out.map = pipeline::StageMap::from_boundaries(std::move(r.boundaries));
     out.memory_feasible = false;
@@ -211,22 +280,17 @@ PartitionResult PartitionBalancer::balance(const PartitionRequest& req) const {
     return out;
   }
 
-  for (int it = 0; it < 100 && hi - lo > 1e-12 * std::max(1.0, hi); ++it) {
-    const double mid = 0.5 * (lo + hi);
-    if (probe_maximal(w, mem, mid, req.mem_capacity, req.num_stages, caps,
-                      /*feasibility_only=*/true)
-            .fits_stages) {
-      hi = mid;
-    } else {
-      lo = mid;
-    }
-  }
-  // Tiny slack so float round-off cannot flip the final probe infeasible.
-  const double cap = hi * (1.0 + 1e-9);
+  // The final probes pack at the optimum plus a 1e-9 relative slack: the
+  // recorded goldens and BENCH_*.json pin the maps packed at that cap.
+  const double cap =
+      min_fitting_cap(w, mem, req.mem_capacity, req.num_stages, caps, hi) *
+      (1.0 + 1e-9);
 
   auto final_probe = probe_maximal(w, mem, cap, req.mem_capacity,
                                    req.num_stages, caps);
   DYNMO_CHECK(final_probe.fits_stages, "final probe must fit");
+  // Pad trailing empty stages so the map always has num_stages entries.
+  final_probe.boundaries.resize(S + 1, L);
 
   // Prefer the balanced variant when it matches the optimal bottleneck —
   // it avoids front-loaded stages with empty tails.

@@ -1,12 +1,15 @@
 // Centralized Partition balancer (paper §3.3, first algorithm).
 //
 // Finds the contiguous layer→stage partition minimizing the bottleneck
-// (maximum stage load) via binary search over the bottleneck value with a
-// greedy feasibility probe — the classic linear-partition parametric search
-// DeepSpeed's partition_balanced utility implements.  Optionally subject to
-// a per-worker memory capacity; when the memory constraint makes the
-// load-optimal cut infeasible, the probe backs off to the best memory-legal
-// cut.
+// (maximum stage load) with the exact parametric search of Nicol 1994 and
+// Pinar & Aykanat 2004: a greedy feasibility probe at a candidate cap, and
+// after each probe the search interval snaps to caps a packing actually
+// reaches (the largest stage load of a fitting probe, the smallest load a
+// stage refused in a failing one), so it stops on the optimum itself, not
+// within a tolerance of it.  Stage loads are summed left to right, as
+// StageMap::stage_loads does.  Optionally subject to a per-worker memory
+// capacity; when the memory constraint makes the load-optimal cut
+// infeasible, the probe backs off to the best memory-legal cut.
 //
 // Lemma 1 (maximum imbalance reduction ⇔ minimum bubble ratio) is realized
 // here exactly: the returned partition achieves the minimum possible
@@ -43,15 +46,30 @@ struct PartitionResult {
 
 class PartitionBalancer {
  public:
-  /// Throws dynmo::Error on malformed input.  If the memory constraint is
-  /// infeasible even ignoring load (some stage must exceed capacity), the
-  /// result has memory_feasible=false and the least-bad map.
+  /// Throws dynmo::Error on malformed input, including a weight or
+  /// memory_bytes entry that is negative, NaN or infinite (the error names
+  /// its index).  If the memory constraint is infeasible even ignoring load
+  /// (some stage must exceed capacity), the result has
+  /// memory_feasible=false and the least-bad map.  A stage that cannot hold
+  /// even its first layer within its capacity-scaled budget still takes it:
+  /// stages are never left empty ahead of a loaded one.
   PartitionResult balance(const PartitionRequest& req) const;
 
-  /// The minimum achievable bottleneck over contiguous partitions,
-  /// ignoring memory (used by tests to assert optimality).
+  /// The minimum achievable bottleneck over contiguous partitions into
+  /// `num_stages` stages, ignoring memory: bit for bit the largest
+  /// StageMap::stage_loads entry of an optimal map, and non-increasing in
+  /// `num_stages`.  The elastic controller and the session's repack and
+  /// quote paths price worker counts with it.  Throws like balance() on bad
+  /// weights.
   static double optimal_bottleneck(std::span<const double> weights,
                                    int num_stages);
+
+  /// The fewest contiguous stages with every stage load <= `cap` — one
+  /// greedy probe.  Equal to the smallest a with optimal_bottleneck(weights,
+  /// a) <= cap, at least 1; std::numeric_limits<int>::max() when a single
+  /// layer exceeds `cap`.  Throws on a negative or NaN `cap` and on bad
+  /// weights.
+  static int min_stages(std::span<const double> weights, double cap);
 };
 
 }  // namespace dynmo::balance

@@ -94,17 +94,16 @@ ElasticDecision ElasticController::decide(
   // --- shrink: the ThroughputPreserving rule, memory-clamped -------------
   // The reference is the optimal bottleneck at the *full* worker count on
   // today's loads, so repeated shrinks cannot ratchet the pipeline slower.
+  // The optimal bottleneck is non-increasing in the worker count, so the
+  // fewest workers within tolerance is one greedy probe at ref·tolerance.
   const double ref =
       balance::PartitionBalancer::optimal_bottleneck(layer_time_s,
                                                      max_workers_);
-  int target = active_workers;
-  for (int a = cfg_.min_workers; a < active_workers; ++a) {
-    if (balance::PartitionBalancer::optimal_bottleneck(layer_time_s, a) <=
-        ref * cfg_.shrink_tolerance) {
-      target = a;
-      break;
-    }
-  }
+  int target = std::min(
+      active_workers,
+      std::max(cfg_.min_workers,
+               balance::PartitionBalancer::min_stages(
+                   layer_time_s, ref * cfg_.shrink_tolerance)));
   if (target < active_workers) {
     // Clamp to the memory-minimal worker count (target_workers = 0 packs
     // as tight as capacity allows).

@@ -1026,19 +1026,15 @@ double TrainingSession::step() {
         // worker count could achieve on today's loads.  The reference is
         // recomputed from the current profile but always at the original
         // stage count, so repeated re-packs cannot ratchet the pipeline
-        // slower and slower.
+        // slower and slower.  The fewest such workers is one greedy probe
+        // (the optimal bottleneck is non-increasing in the worker count).
         constexpr double kTolerance = 1.05;
         const double ref_bottleneck =
             balance::PartitionBalancer::optimal_bottleneck(profile.time_s,
                                                            S0);
-        target = R.active;
-        for (int a = 1; a <= R.active; ++a) {
-          if (balance::PartitionBalancer::optimal_bottleneck(
-                  profile.time_s, a) <= ref_bottleneck * kTolerance) {
-            target = a;
-            break;
-          }
-        }
+        target = std::min(R.active,
+                          balance::PartitionBalancer::min_stages(
+                              profile.time_s, ref_bottleneck * kTolerance));
         // Policy-derived target on a deployment: release whole nodes —
         // snap up to the next node boundary (keeping extra workers can
         // only help the bottleneck) unless that cancels the release.

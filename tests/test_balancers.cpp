@@ -9,6 +9,7 @@
 #include <bit>
 #include <cmath>
 #include <cstdint>
+#include <limits>
 #include <numeric>
 #include <sstream>
 
@@ -19,37 +20,12 @@
 #include "core/rng.hpp"
 #include "core/stats.hpp"
 #include "diffusion_oracle.hpp"
+#include "partition_oracle.hpp"
 
 namespace dynmo::balance {
 namespace {
 
-/// Brute-force optimal contiguous bottleneck for small instances.
-double brute_force_bottleneck(std::span<const double> w, int stages) {
-  const std::size_t n = w.size();
-  if (stages == 1) return std::accumulate(w.begin(), w.end(), 0.0);
-  double best = std::numeric_limits<double>::infinity();
-  // Enumerate first-stage cut and recurse.
-  std::vector<double> prefix(n + 1, 0.0);
-  for (std::size_t i = 0; i < n; ++i) prefix[i + 1] = prefix[i] + w[i];
-  // DP over (position, stages left).
-  std::vector<std::vector<double>> dp(
-      n + 1, std::vector<double>(static_cast<std::size_t>(stages) + 1,
-                                 std::numeric_limits<double>::infinity()));
-  dp[n][0] = 0.0;
-  for (int k = 1; k <= stages; ++k) {
-    for (std::size_t i = 0; i <= n; ++i) {
-      for (std::size_t j = i; j <= n; ++j) {
-        const double stage = prefix[j] - prefix[i];
-        const double rest = dp[j][static_cast<std::size_t>(k - 1)];
-        dp[i][static_cast<std::size_t>(k)] =
-            std::min(dp[i][static_cast<std::size_t>(k)],
-                     std::max(stage, rest));
-      }
-    }
-  }
-  best = dp[0][static_cast<std::size_t>(stages)];
-  return best;
-}
+using testing::brute_force_bottleneck;
 
 std::vector<double> random_weights(Rng& rng, std::size_t n, int pattern) {
   std::vector<double> w(n);
@@ -78,10 +54,11 @@ TEST_P(PartitionOptimality, MatchesBruteForce) {
   const auto res = PartitionBalancer{}.balance(req);
 
   const double optimal = brute_force_bottleneck(w, stages);
-  EXPECT_NEAR(res.bottleneck, optimal, 1e-9 + 1e-9 * optimal)
+  EXPECT_EQ(PartitionBalancer::optimal_bottleneck(w, stages), optimal)
       << "n=" << n << " stages=" << stages << " pattern=" << pattern;
-  EXPECT_NEAR(PartitionBalancer::optimal_bottleneck(w, stages), optimal,
-              1e-9 + 1e-9 * optimal);
+  // The map is packed at the optimum plus a 1e-9 relative slack.
+  EXPECT_GE(res.bottleneck, optimal);
+  EXPECT_LE(res.bottleneck, optimal * (1.0 + 1e-9));
   // Structural sanity.
   EXPECT_EQ(res.map.num_layers(), w.size());
   EXPECT_EQ(res.map.num_stages(), stages);
@@ -120,6 +97,192 @@ TEST(Partition, RejectsEmptyInput) {
   PartitionRequest req;
   req.num_stages = 2;
   EXPECT_THROW((void)PartitionBalancer{}.balance(req), Error);
+}
+
+/// Uniform integer in [lo, hi].
+int pick(Rng& rng, int lo, int hi) {
+  return lo + static_cast<int>(
+                  rng.uniform_int(static_cast<std::uint64_t>(hi - lo + 1)));
+}
+
+/// Weights for the seeded sweeps: wide dynamic range, zeros, ties.
+std::vector<double> sweep_weights(Rng& rng, std::size_t n, int kind) {
+  constexpr double kTies[] = {0.1, 0.2, 0.3, 1.0 / 3.0, 0.7};
+  std::vector<double> w(n);
+  for (auto& x : w) {
+    const double wide = std::exp(rng.uniform(-20.0, 20.0));
+    switch (kind) {
+      case 0: x = wide; break;
+      case 1: x = rng.uniform() < 0.3 ? 0.0 : wide; break;
+      case 2: x = kTies[pick(rng, 0, 4)]; break;
+      case 3: x = static_cast<double>(pick(rng, 0, 3)); break;
+      default: x = rng.uniform() < 0.8 ? 0.0 : wide; break;
+    }
+  }
+  return w;
+}
+
+/// The smallest stage count a with B*(a) <= cap, scanning `bottlenecks`
+/// (entry a−1 is B*(a)); INT_MAX if none.
+int first_stage_count_within(std::span<const double> bottlenecks,
+                             double cap) {
+  for (std::size_t a = 0; a < bottlenecks.size(); ++a) {
+    if (bottlenecks[a] <= cap) return static_cast<int>(a) + 1;
+  }
+  return std::numeric_limits<int>::max();
+}
+
+TEST(Partition, ExactMonotoneAndMinStagesOnSeededSweep) {
+  Rng rng(0x9a27);
+  for (int c = 0; c < 3000; ++c) {
+    const auto n = static_cast<std::size_t>(pick(rng, 1, 14));
+    const int kind = c % 5;
+    const auto w = sweep_weights(rng, n, kind);
+    // One DP gives B*(a) for every a; past n stages it no longer falls.
+    const int max_a = static_cast<int>(n) + 1;
+    const auto brute = testing::brute_force_bottlenecks(w, max_a);
+    SCOPED_TRACE(::testing::Message() << "case " << c << " n=" << n
+                                      << " kind=" << kind);
+
+    for (int a = 1; a <= max_a; ++a) {
+      const double b = PartitionBalancer::optimal_bottleneck(w, a);
+      ASSERT_EQ(b, brute[static_cast<std::size_t>(a - 1)]) << "a=" << a;
+      if (a > 1) {
+        ASSERT_LE(b, PartitionBalancer::optimal_bottleneck(w, a - 1));
+      }
+    }
+    const int stages = pick(rng, 1, 8);
+    PartitionRequest req;
+    req.weights = w;
+    req.num_stages = stages;
+    const auto res = PartitionBalancer{}.balance(req);
+    const double opt =
+        brute[static_cast<std::size_t>(std::min(stages, max_a) - 1)];
+    ASSERT_GE(res.bottleneck, opt) << "stages=" << stages;
+    ASSERT_LE(res.bottleneck, opt * (1.0 + 1e-9)) << "stages=" << stages;
+    ASSERT_EQ(res.map.num_stages(), stages);
+
+    // min_stages is the first a within each threshold: exact ties, one
+    // ulp below, the 1.05 shrink tolerance, and below the heaviest layer.
+    std::vector<double> caps = {0.0};
+    for (const double b : brute) {
+      caps.push_back(b);
+      caps.push_back(std::nextafter(b, 0.0));
+      caps.push_back(b * 1.05);
+    }
+    for (const double cap : caps) {
+      ASSERT_EQ(PartitionBalancer::min_stages(w, cap),
+                first_stage_count_within(brute, cap))
+          << "cap=" << cap;
+    }
+  }
+}
+
+TEST(Partition, CapacitiesAndMemoryMatchBruteForce) {
+  Rng rng(0xca95);
+  constexpr double kSpeeds[] = {0.25, 0.5, 0.75, 1.0, 1.3};
+  int memory_bound = 0;
+  int capacity_cases = 0;
+  for (int c = 0; c < 1500; ++c) {
+    const auto n = static_cast<std::size_t>(pick(rng, 1, 12));
+    const int stages = pick(rng, 1, 6);
+    PartitionRequest req;
+    req.weights = sweep_weights(rng, n, c % 5);
+    req.num_stages = stages;
+    std::vector<double> speeds(static_cast<std::size_t>(stages), 1.0);
+    if (c % 2 == 0) {
+      for (auto& k : speeds) k = kSpeeds[pick(rng, 0, 4)];
+      req.capacities = speeds;
+      ++capacity_cases;
+    }
+    if (c % 3 != 0) {
+      req.memory_bytes.resize(n);
+      for (auto& m : req.memory_bytes) {
+        m = static_cast<double>(pick(rng, 1, 10));
+      }
+      // At least the largest layer, at most everything: single layers
+      // always fit, and some caps force more stages than there are.
+      const double biggest =
+          *std::max_element(req.memory_bytes.begin(), req.memory_bytes.end());
+      req.mem_capacity = biggest + rng.uniform(0.0, 12.0);
+    }
+    SCOPED_TRACE(::testing::Message() << "case " << c << " n=" << n
+                                      << " stages=" << stages);
+
+    const double expected = testing::brute_force_capped_cap(
+        req.weights, req.memory_bytes, req.mem_capacity, speeds);
+    const auto res = PartitionBalancer{}.balance(req);
+    ASSERT_EQ(res.map.num_stages(), stages);
+    if (expected == testing::kNoPartition) {
+      ASSERT_FALSE(res.memory_feasible);
+      ++memory_bound;
+      continue;
+    }
+    ASSERT_TRUE(res.memory_feasible);
+    const double got = testing::map_cap(res.map, req.weights,
+                                        req.memory_bytes, req.mem_capacity,
+                                        speeds);
+    // The map is packed at the optimum plus a 1e-9 relative slack.
+    ASSERT_GE(got, expected);
+    ASSERT_LE(got, expected * (1.0 + 1e-9));
+  }
+  EXPECT_GT(memory_bound, 0);
+  EXPECT_GT(capacity_cases, 0);
+}
+
+/// Runs `call` and expects a dynmo::Error whose message names `needle`.
+template <typename F>
+void expect_error_naming(F&& call, const std::string& needle) {
+  try {
+    call();
+    ADD_FAILURE() << "no error; expected one naming " << needle;
+  } catch (const Error& e) {
+    EXPECT_NE(std::string(e.what()).find(needle), std::string::npos)
+        << e.what();
+  }
+}
+
+constexpr double kBadValues[] = {-1.0, -1e-300,
+                                 std::numeric_limits<double>::quiet_NaN(),
+                                 std::numeric_limits<double>::infinity(),
+                                 -std::numeric_limits<double>::infinity()};
+
+TEST(Partition, BalanceRejectsBadWeightsNamingTheIndex) {
+  for (const double bad : kBadValues) {
+    PartitionRequest req;
+    req.weights = {1.0, 2.0, bad, 1.0};
+    req.num_stages = 2;
+    expect_error_naming([&] { (void)PartitionBalancer{}.balance(req); },
+                        "layer weight[2]");
+  }
+}
+
+TEST(Partition, BalanceRejectsBadMemoryBytesNamingTheIndex) {
+  for (const double bad : kBadValues) {
+    PartitionRequest req;
+    req.weights = {1.0, 2.0, 3.0, 1.0};
+    req.memory_bytes = {1.0, 1.0, 1.0, bad};
+    req.mem_capacity = 4.0;
+    req.num_stages = 2;
+    expect_error_naming([&] { (void)PartitionBalancer{}.balance(req); },
+                        "layer memory_bytes[3]");
+  }
+}
+
+TEST(Partition, OptimalBottleneckAndMinStagesRejectBadWeights) {
+  for (const double bad : kBadValues) {
+    const std::vector<double> w = {bad, 1.0, 2.0};
+    expect_error_naming(
+        [&] { (void)PartitionBalancer::optimal_bottleneck(w, 2); },
+        "layer weight[0]");
+    expect_error_naming([&] { (void)PartitionBalancer::min_stages(w, 5.0); },
+                        "layer weight[0]");
+  }
+  const std::vector<double> ok = {1.0, 2.0};
+  EXPECT_THROW((void)PartitionBalancer::min_stages(
+                   ok, std::numeric_limits<double>::quiet_NaN()),
+               Error);
+  EXPECT_THROW((void)PartitionBalancer::min_stages(ok, -1.0), Error);
 }
 
 TEST(Diffusion, PotentialDefinition) {

@@ -14,11 +14,13 @@
 #include "cluster/deployment.hpp"
 #include "cluster/topology.hpp"
 #include "core/error.hpp"
+#include "core/rng.hpp"
 #include "dynamic/dynamism.hpp"
 #include "model/layer.hpp"
 #include "runtime/elastic.hpp"
 #include "runtime/session.hpp"
 #include "telemetry/trace_reader.hpp"
+#include "partition_oracle.hpp"
 
 namespace dynmo {
 namespace {
@@ -191,6 +193,65 @@ TEST(ElasticController, RestartStallScalesWithStateAndFloorsAtAlpha) {
   const auto heavy_s = ctl.restart_stall_s(before, after, heavy);
   EXPECT_GT(light, cfg.restart_alpha_s);
   EXPECT_GT(heavy_s, light);
+}
+
+// decide() finds the shrink target with one greedy probe; the oracle scans
+// every worker count.  Seeded loads from flat to sharply concentrated, with
+// random floors, tolerances, footprints, queued capacity and memory caps.
+TEST(ElasticController, OneProbeShrinkMatchesTheLinearScanOracle) {
+  Rng rng(0xe1a5);
+  const auto pick = [&](int lo, int hi) {
+    return lo + static_cast<int>(
+                    rng.uniform_int(static_cast<std::uint64_t>(hi - lo + 1)));
+  };
+  int shrinks = 0;
+  int expands = 0;
+  for (int c = 0; c < 600; ++c) {
+    const int max_workers = pick(2, 24);
+    const int active = pick(1, max_workers);
+    const auto layers = static_cast<std::size_t>(pick(active, 4 * max_workers));
+    std::vector<double> t(layers);
+    const double lull = std::exp(rng.uniform(-8.0, 0.0));
+    for (auto& x : t) {
+      x = 1e-3 * (rng.uniform() < 0.25 ? rng.uniform(0.5, 1.5)
+                                       : lull * rng.uniform(0.5, 1.5));
+    }
+    std::vector<double> state(layers);
+    for (auto& b : state) b = static_cast<double>(pick(1, 64)) * 1e6;
+    const double mem_capacity =
+        rng.uniform() < 0.5 ? 1e12 : static_cast<double>(pick(64, 512)) * 1e6;
+
+    // Another job frees some of the ceiling: expand has somewhere to go.
+    repack::MockEckCluster eck;
+    repack::JobManagerClient other(&eck, "other-job", max_workers);
+    ASSERT_TRUE(other.resize_gpu_claim(pick(0, max_workers - active)));
+
+    ElasticConfig cfg = fast_cfg();
+    cfg.cluster = &eck;
+    cfg.max_workers = max_workers;
+    cfg.min_workers = pick(1, active);
+    cfg.shrink_tolerance = rng.uniform(1.0, 1.6);
+    cfg.payoff_window_iters = rng.uniform() < 0.5 ? 0.0 : 1e3;
+    ElasticController ctl(cfg, active, test_link);
+    const auto map = pipeline::StageMap::uniform(layers, active);
+
+    SCOPED_TRACE(::testing::Message()
+                 << "case " << c << " active=" << active << "/"
+                 << max_workers << " min=" << cfg.min_workers
+                 << " tol=" << cfg.shrink_tolerance);
+    const auto want = testing::linear_scan_decide(ctl, cfg, map, t, state,
+                                                  mem_capacity, active);
+    const auto got = ctl.decide(map, t, state, mem_capacity, active);
+    ASSERT_EQ(got.action, want.action);
+    ASSERT_EQ(got.target_workers, want.target_workers);
+    ASSERT_EQ(got.restart_stall_s, want.restart_stall_s);
+    ASSERT_EQ(got.projected_gain_s, want.projected_gain_s);
+    ASSERT_EQ(got.rejected_by_payoff, want.rejected_by_payoff);
+    shrinks += got.action == ElasticAction::Shrink;
+    expands += got.action == ElasticAction::Expand;
+  }
+  EXPECT_GT(shrinks, 50);
+  EXPECT_GT(expands, 100);
 }
 
 // The over-grant regression (ISSUE 7): the control plane used to track a
@@ -425,7 +486,7 @@ TEST(SessionElastic, ForcedShrinkTakesTheCheckpointPathDeterministically) {
   };
 
   const auto base =
-      std::filesystem::path(testing::TempDir()) / "forced_shrink_trace";
+      std::filesystem::path(::testing::TempDir()) / "forced_shrink_trace";
   std::filesystem::remove_all(base);
   const auto a = run_once((base / "a").string());
 
@@ -499,7 +560,7 @@ runtime::SessionConfig quote_session_config(repack::ControlPlane* eck) {
 TEST(SessionElastic, ShrinkQuoteIsTheStallTheForcedShrinkCharges) {
   const auto m = spike_model();
   const auto dir =
-      (std::filesystem::path(testing::TempDir()) / "quote_trace").string();
+      (std::filesystem::path(::testing::TempDir()) / "quote_trace").string();
   std::filesystem::remove_all(dir);
 
   const auto run_once = [&m](bool preempt, const std::string& trace_dir,
