@@ -65,11 +65,10 @@ inline runtime::SessionConfig gpt_cluster_config_deep_stages() {
 struct Row {
   std::string label;
   runtime::SessionResult result;
-  /// Extra per-row numeric fields the JsonRecorder emits verbatim (after
-  /// the uniform columns) — bench_elastic records its lifecycle counters
-  /// this way.  Values are rounded to 4 significant digits like the
-  /// throughputs; keep wall-clock-dominated quantities out (see
-  /// docs/BENCHMARKS.md).
+  /// Extra per-row numeric fields the JsonRecorder emits (after the
+  /// uniform columns), rounded like every other field — bench_elastic
+  /// records its lifecycle counters this way.  Keep measured wall-clock
+  /// out (see docs/BENCHMARKS.md).
   std::vector<std::pair<std::string, double>> extra = {};
 };
 
@@ -130,11 +129,7 @@ inline std::string trace_slug(const std::string& label) {
 
 /// Uniform BENCH_fig3_*.json recorder: one object per bench, one entry per
 /// case (model size / MoE variant), one row per series — the same rows
-/// print_table shows, minus overhead_fraction (dominated by the *measured*
-/// decide wall-clock, hence machine-dependent).  Throughputs are rounded
-/// to 4 significant digits and speedups — ratios of two measured values,
-/// so their jitter compounds — to 3, so the residual decide-time jitter
-/// cannot move a recorded trajectory (see docs/BENCHMARKS.md).
+/// print_table shows.  Every field is rounded to 4 significant digits.
 class JsonRecorder {
  public:
   explicit JsonRecorder(std::string bench) : bench_(std::move(bench)) {}
@@ -177,9 +172,10 @@ class JsonRecorder {
             f,
             "      {\"series\": \"%s\", \"tokens_per_sec\": %.4g, "
             "\"idleness\": %.4g, \"bubble_ratio\": %.4g, "
-            "\"speedup\": %.3g",
+            "\"overhead_fraction\": %.4g, \"speedup\": %.4g",
             cs.rows[r].label.c_str(), res.tokens_per_sec, res.avg_idleness,
-            res.avg_bubble_ratio, res.tokens_per_sec / cs.baseline);
+            res.avg_bubble_ratio, res.overhead_fraction,
+            res.tokens_per_sec / cs.baseline);
         for (const auto& [key, value] : cs.rows[r].extra) {
           std::fprintf(f, ", \"%s\": %.4g", key.c_str(), value);
         }

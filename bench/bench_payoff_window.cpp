@@ -16,9 +16,7 @@
 //
 // `--smoke` shrinks the simulated window for CI; `--json PATH` records the
 // sweep as a BENCH_*.json perf trajectory (see bench/record_bench.sh and
-// docs/BENCHMARKS.md).  Bytes and counts are deterministic; tokens/sec is
-// rounded to 4 significant digits so measured decide-time jitter cannot
-// move the recorded numbers.  `--trace-dir DIR` records one telemetry
+// docs/BENCHMARKS.md).  `--trace-dir DIR` records one telemetry
 // trace per (cadence, window) point under DIR — query the
 // rebalance_decisions table for each point's accept/reject ledger, or
 // replay any point under a different window (docs/TELEMETRY.md).

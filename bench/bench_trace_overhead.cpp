@@ -80,18 +80,8 @@ int main(int argc, char** argv) {
     wall_on = std::min(wall_on, run_timed(model, o, &on));
   }
 
-  // (a) Pure observation: the modeled ledger is identical either way.
-  //     (Time totals carry the *measured* decide wall-clock and jitter
-  //     between any two runs, telemetry or not — the deterministic
-  //     decision/traffic fields are the equality surface.)
-  const bool identical =
-      off.rebalance_count == on.rebalance_count &&
-      off.maps_accepted == on.maps_accepted &&
-      off.maps_rejected_payoff == on.maps_rejected_payoff &&
-      off.intra_node_migration_bytes == on.intra_node_migration_bytes &&
-      off.inter_node_migration_bytes == on.inter_node_migration_bytes &&
-      off.migration_bytes_avoided == on.migration_bytes_avoided &&
-      off.final_map.boundaries() == on.final_map.boundaries();
+  // (a) Pure observation: the results are bit-identical either way.
+  const bool identical = off == on;
 
   // (b) Recording cost: the telemetry-on run's extra wall-clock.
   const double overhead = wall_on / wall_off - 1.0;

@@ -13,8 +13,7 @@
 #   bench/BENCH_scale.json             (decision-path work counters, 1k-16k)
 #   bench/BENCH_fig3_<use_case>.json   (the six Figure-3 panels)
 # with the current aggregates.  All bench arithmetic is deterministic
-# (fixed seeds, analytic cost models) and throughputs are rounded past the
-# session's measured decide-time jitter, so the recorded numbers are
+# (fixed seeds, analytic cost models), so the recorded numbers are
 # machine-independent and diffs in the JSON are real behavior changes —
 # commit the files alongside the change that moved them.  See
 # docs/BENCHMARKS.md for the schemas.

@@ -1,7 +1,8 @@
 // Fault injection end to end (docs/FAULT.md): the threaded runtime loses
-// a live worker mid-iteration, the missed-heartbeat monitor detects the
-// silence, and the survivors rendezvous on a checkpoint-coordinated
-// restart — landing on bit-identical checksums to a fault-free run.  The
+// a live worker mid-iteration beside a half-speed straggler, the
+// missed-heartbeat monitor detects the silence, and the survivors
+// rendezvous on a checkpoint-coordinated restart — landing on
+// bit-identical checksums to a fault-free run.  The
 // simulated session then prices the same scenario: restart stall plus the
 // work lost since the last periodic checkpoint, at two cadences.
 //
@@ -38,10 +39,12 @@ int main() {
 
   tc.checkpoint_interval_iters = 4;           // cuts at iterations 4 and 8
   tc.fault.losses = {{.iter = 6, .worker = 2}};  // dies mid-iteration 6
+  // Worker 1 runs at half speed from iteration 2: slower, never silent.
+  tc.fault.stragglers = {{.worker = 1, .multiplier = 0.5, .from_iter = 2}};
   runtime::ThreadedPipeline faulty(tc);
   const auto rec = faulty.run({phase});
-  std::printf("worker 2 lost    : detected by heartbeat, rolled back to "
-              "the cut at 4,\n");
+  std::printf("worker 2 lost    : detected by heartbeat (straggler 1 kept "
+              "beating), rolled back to the cut at 4,\n");
   std::printf("                   recovered on %d survivors, checksum "
               "%016llx\n",
               tc.workers - rec.worker_losses,

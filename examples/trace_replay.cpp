@@ -127,9 +127,12 @@ int main(int argc, char** argv) {
                  const pipeline::StageMap& current) {
         const auto ranks = dep.stage_to_rank().first(
             static_cast<std::size_t>(current.num_stages()));
-        return cluster::HierarchicalBalancer(dep.topology(), hc)
-            .balance(req, current, ranks)
-            .map;
+        auto r = cluster::HierarchicalBalancer(dep.topology(), hc)
+                     .balance(req, current, ranks);
+        balance::DiffusionResult d;
+        d.map = std::move(r.map);
+        d.rounds = r.rounds;
+        return d;
       };
   const auto hier = balance::replay(loads, hier_cfg, net);
 

@@ -173,10 +173,11 @@ std::optional<std::vector<std::size_t>> probe_balanced(
 /// The probe at `hi` must fit.  Each probe snaps the bracket to a cap some
 /// packing actually reaches — a fitting probe lowers hi to its tight cap,
 /// a failing one raises lo to its next cap — so the search stops on the
-/// optimum itself rather than within a tolerance of it.
+/// optimum itself rather than within a tolerance of it.  Adds the probes it
+/// runs to `probes`.
 double min_fitting_cap(std::span<const double> w, std::span<const double> mem,
                        double memcap, int num_stages,
-                       std::span<const double> caps, double hi) {
+                       std::span<const double> caps, double hi, int& probes) {
   double max_speed = 1.0;
   double speed_sum = static_cast<double>(num_stages);
   if (!caps.empty()) {
@@ -191,8 +192,8 @@ double min_fitting_cap(std::span<const double> w, std::span<const double> mem,
   // heaviest layer — for equal speeds an upper bound on the optimum.
   const double avg = std::accumulate(w.begin(), w.end(), 0.0) / speed_sum;
   double c = avg;
-  for (int probes = 0; lo < hi; ++probes) {
-    if (probes == 1) c = avg + floor;
+  for (int n = 0; lo < hi; ++n, ++probes) {
+    if (n == 1) c = avg + floor;
     if (!(c > lo && c < hi)) c = lo;
     const Probe p = probe_maximal(w, mem, c, memcap, num_stages, caps,
                                   /*feasibility_only=*/true);
@@ -218,7 +219,8 @@ double PartitionBalancer::optimal_bottleneck(std::span<const double> weights,
   if (weights.empty()) return 0.0;
   const double total = std::accumulate(weights.begin(), weights.end(), 0.0);
   DYNMO_CHECK(std::isfinite(total), "layer weights sum to " << total);
-  return min_fitting_cap(weights, {}, 0.0, num_stages, {}, total);
+  int probes = 0;
+  return min_fitting_cap(weights, {}, 0.0, num_stages, {}, total, probes);
 }
 
 int PartitionBalancer::min_stages(std::span<const double> weights,
@@ -275,6 +277,7 @@ PartitionResult PartitionBalancer::balance(const PartitionRequest& req) const {
     PartitionResult out;
     out.map = pipeline::StageMap::from_boundaries(std::move(r.boundaries));
     out.memory_feasible = false;
+    out.probes = 2;
     const auto loads = out.map.stage_loads(w);
     out.bottleneck = *std::max_element(loads.begin(), loads.end());
     return out;
@@ -282,9 +285,13 @@ PartitionResult PartitionBalancer::balance(const PartitionRequest& req) const {
 
   // The final probes pack at the optimum plus a 1e-9 relative slack: the
   // recorded goldens and BENCH_*.json pin the maps packed at that cap.
-  const double cap =
-      min_fitting_cap(w, mem, req.mem_capacity, req.num_stages, caps, hi) *
-      (1.0 + 1e-9);
+  // Probes so far: the feasibility check above; the final maximal and
+  // balanced packings below add two more.
+  PartitionResult out;
+  out.probes = 3;
+  const double cap = min_fitting_cap(w, mem, req.mem_capacity, req.num_stages,
+                                     caps, hi, out.probes) *
+                     (1.0 + 1e-9);
 
   auto final_probe = probe_maximal(w, mem, cap, req.mem_capacity,
                                    req.num_stages, caps);
@@ -300,7 +307,6 @@ PartitionResult PartitionBalancer::balance(const PartitionRequest& req) const {
     boundaries = std::move(*balanced);
   }
 
-  PartitionResult out;
   out.map = pipeline::StageMap::from_boundaries(std::move(boundaries));
   out.memory_feasible = final_probe.fits_memory;
   const auto loads = out.map.stage_loads(w);

@@ -42,6 +42,10 @@ struct PartitionResult {
   pipeline::StageMap map;
   double bottleneck = 0.0;  ///< max stage load achieved
   bool memory_feasible = true;
+  /// Greedy packing passes over the layers this decision ran — the work
+  /// counter its modeled decide cost is charged from (docs/COST_MODEL.md
+  /// "Decide cost").
+  int probes = 0;
 };
 
 class PartitionBalancer {

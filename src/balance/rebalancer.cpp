@@ -1,7 +1,6 @@
 #include "balance/rebalancer.hpp"
 
 #include <algorithm>
-#include <chrono>
 
 #include "core/error.hpp"
 #include "core/stats.hpp"
@@ -15,6 +14,13 @@ const char* to_string(Algorithm a) {
     case Algorithm::HierarchicalDiffusion: return "hier_diffusion";
   }
   return "?";
+}
+
+double modeled_decide_s(Algorithm algorithm, int work, int stages,
+                        std::size_t layers) {
+  return algorithm == Algorithm::Partition
+             ? kPartitionLayerProbeS * work * static_cast<double>(layers)
+             : kDiffusionStageRoundS * work * stages;
 }
 
 const char* to_string(MapDecision d) {
@@ -49,9 +55,7 @@ RebalanceOutcome Rebalancer::rebalance_full_rescan(
     out.imbalance_before = load_imbalance(loads);
   }
 
-  const auto t0 = std::chrono::steady_clock::now();
-  out.map = propose(weights, profile, current, out.diffusion);
-  const auto t1 = std::chrono::steady_clock::now();
+  propose(weights, profile, current, out);
 
   // Capacity-normalized per-stage bottleneck — what actually gates a
   // (possibly heterogeneous) pipeline.
@@ -105,8 +109,6 @@ RebalanceOutcome Rebalancer::rebalance_full_rescan(
     }
   }
 
-  out.overhead.decide_s =
-      std::chrono::duration<double>(t1 - t0).count();
   out.overhead.profile_s =
       cfg_.profile_cost_per_layer_s *
           static_cast<double>(profile.num_layers()) +
@@ -126,37 +128,42 @@ RebalanceOutcome Rebalancer::rebalance_full_rescan(
   return out;
 }
 
-pipeline::StageMap Rebalancer::propose(
-    std::span<const double> weights, const LayerProfile& profile,
-    const pipeline::StageMap& current,
-    std::optional<DiffusionResult>& diffusion) const {
-  switch (cfg_.algorithm) {
-    case Algorithm::Partition: {
-      PartitionRequest req;
-      req.weights.assign(weights.begin(), weights.end());
-      req.memory_bytes = profile.memory_bytes;
-      req.mem_capacity = cfg_.mem_capacity;
-      req.num_stages = current.num_stages();
-      req.capacities = cfg_.capacities;
-      return PartitionBalancer{}.balance(req).map;
-    }
-    case Algorithm::Diffusion:
-    case Algorithm::HierarchicalDiffusion: {
-      DiffusionRequest req;
-      req.weights.assign(weights.begin(), weights.end());
-      req.memory_bytes = profile.memory_bytes;
-      req.mem_capacity = cfg_.mem_capacity;
-      req.gamma = cfg_.gamma;
-      req.capacities = cfg_.capacities;
-      if (cfg_.algorithm == Algorithm::HierarchicalDiffusion &&
-          cfg_.hierarchical_decider) {
-        return cfg_.hierarchical_decider(req, current);
-      }
-      diffusion = DiffusionBalancer{}.balance(req, current);
-      return diffusion->map;
+void Rebalancer::propose(std::span<const double> weights,
+                         const LayerProfile& profile,
+                         const pipeline::StageMap& current,
+                         RebalanceOutcome& out) const {
+  const int S = current.num_stages();
+  int work = 0;  // partition probes or diffusion rounds
+  if (cfg_.algorithm == Algorithm::Partition) {
+    PartitionRequest req;
+    req.weights.assign(weights.begin(), weights.end());
+    req.memory_bytes = profile.memory_bytes;
+    req.mem_capacity = cfg_.mem_capacity;
+    req.num_stages = S;
+    req.capacities = cfg_.capacities;
+    PartitionResult r = PartitionBalancer{}.balance(req);
+    out.map = std::move(r.map);
+    work = r.probes;
+  } else {
+    DiffusionRequest req;
+    req.weights.assign(weights.begin(), weights.end());
+    req.memory_bytes = profile.memory_bytes;
+    req.mem_capacity = cfg_.mem_capacity;
+    req.gamma = cfg_.gamma;
+    req.capacities = cfg_.capacities;
+    if (cfg_.algorithm == Algorithm::HierarchicalDiffusion &&
+        cfg_.hierarchical_decider) {
+      DiffusionResult r = cfg_.hierarchical_decider(req, current);
+      out.map = std::move(r.map);
+      work = r.rounds;
+    } else {
+      out.diffusion = DiffusionBalancer{}.balance(req, current);
+      out.map = out.diffusion->map;
+      work = out.diffusion->rounds;
     }
   }
-  return current;  // unreachable
+  out.overhead.decide_s =
+      modeled_decide_s(cfg_.algorithm, work, S, weights.size());
 }
 
 RebalanceOutcome Rebalancer::rebalance_incremental(
@@ -178,9 +185,7 @@ RebalanceOutcome Rebalancer::rebalance_incremental(
   RebalanceOutcome out;
   out.imbalance_before = load_imbalance(surface_.stage_loads_w());
 
-  const auto t0 = std::chrono::steady_clock::now();
-  out.map = propose(weights, profile, current, out.diffusion);
-  const auto t1 = std::chrono::steady_clock::now();
+  propose(weights, profile, current, out);
 
   // Acceptance on the cached surface: the candidate is priced by
   // re-summing only the stages its boundary moves touch, the bottlenecks
@@ -211,8 +216,6 @@ RebalanceOutcome Rebalancer::rebalance_incremental(
     }
   }
 
-  out.overhead.decide_s =
-      std::chrono::duration<double>(t1 - t0).count();
   out.overhead.profile_s =
       cfg_.profile_cost_per_layer_s *
           static_cast<double>(profile.num_layers()) +

@@ -1,10 +1,11 @@
 // Rebalance orchestrator: profile → decide → migrate (paper Fig. 2, steps
 // 3–4), with the overhead accounting behind the paper's Figure 4 table.
 //
-// The decision time is *actually measured* (wall clock of the balancing
-// algorithm run); profiling and migration costs are charged from the
-// calibrated models, since in the real system they are timer reads and NCCL
-// P2P transfers respectively.
+// All three overheads are modeled, so an outcome is a pure function of its
+// inputs: profiling and migration are charged from the calibrated models
+// (in the real system they are timer reads and NCCL P2P transfers), and the
+// decision from the balancing algorithm's own work counter through
+// modeled_decide_s (docs/COST_MODEL.md "Decide cost").
 #pragma once
 
 #include <cstddef>
@@ -34,6 +35,19 @@ enum class Algorithm {
 };
 
 const char* to_string(Algorithm a);
+
+/// Seconds one diffusion round costs per pipeline stage, and one greedy
+/// partition probe per layer: calibrated on a 4-vCPU Intel Xeon (g++ 12.2,
+/// Release) in docs/COST_MODEL.md "Decide cost".
+inline constexpr double kDiffusionStageRoundS = 22e-9;
+inline constexpr double kPartitionLayerProbeS = 8e-9;
+
+/// The modeled wall time of one balancing decision, from the work counter
+/// its algorithm reports: `work` diffusion rounds over `stages` stages
+/// (Diffusion, HierarchicalDiffusion), or `work` partition probes over
+/// `layers` layers (Partition).  The one place a decide cost comes from.
+double modeled_decide_s(Algorithm algorithm, int work, int stages,
+                        std::size_t layers);
 
 struct RebalanceConfig {
   Algorithm algorithm = Algorithm::Diffusion;
@@ -77,9 +91,11 @@ struct RebalanceConfig {
   /// and the hysteresis compares capacity-normalized bottlenecks.
   std::vector<double> capacities{};
   /// Decider for Algorithm::HierarchicalDiffusion, wired by the runtime to
-  /// cluster::HierarchicalBalancer over the session's Deployment.
-  std::function<pipeline::StageMap(const DiffusionRequest&,
-                                   const pipeline::StageMap&)>
+  /// cluster::HierarchicalBalancer over the session's Deployment.  Returns
+  /// the map and the diffusion rounds it ran (summed over both levels; the
+  /// decide cost is charged from them); the other fields are not read.
+  std::function<DiffusionResult(const DiffusionRequest&,
+                                const pipeline::StageMap&)>
       hierarchical_decider{};
   /// Incremental decision path (default): the acceptance math — per-stage
   /// load sums, capacity-normalized bottlenecks, migration diff — is
@@ -97,6 +113,7 @@ struct OverheadBreakdown {
   double decide_s = 0.0;
   double migrate_s = 0.0;
   double total_s() const { return profile_s + decide_s + migrate_s; }
+  bool operator==(const OverheadBreakdown&) const = default;
 
   OverheadBreakdown& operator+=(const OverheadBreakdown& o) {
     profile_s += o.profile_s;
@@ -165,10 +182,9 @@ class Rebalancer {
       const LayerProfile& profile, const pipeline::StageMap& current) const;
   /// Candidate generation (the configured balancing algorithm), shared by
   /// both decision paths so they evaluate the identical candidate map.
-  pipeline::StageMap propose(std::span<const double> weights,
-                             const LayerProfile& profile,
-                             const pipeline::StageMap& current,
-                             std::optional<DiffusionResult>& diffusion) const;
+  /// Sets out.map, out.overhead.decide_s and, for Diffusion, out.diffusion.
+  void propose(std::span<const double> weights, const LayerProfile& profile,
+               const pipeline::StageMap& current, RebalanceOutcome& out) const;
 
   RebalanceConfig cfg_;
   comm::CostModel net_;

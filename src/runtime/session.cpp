@@ -389,30 +389,17 @@ void TrainingSession::account_outcome(const balance::RebalanceOutcome& outcome,
         static_cast<std::int64_t>(outcome.migration.transfers.size());
     row.imbalance_before = outcome.imbalance_before;
     row.imbalance_after = outcome.imbalance_after;
-    // Already zeroed by run_rebalance() under telemetry.deterministic.
     row.decide_s = outcome.overhead.decide_s;
     R.trace->write(row);
     emit_migration_rows(iter, trigger, outcome.migration);
   }
 }
 
-balance::RebalanceOutcome TrainingSession::run_rebalance(
-    const balance::LayerProfile& profile, const pipeline::StageMap& map) {
-  auto outcome = run_->rebalancer->rebalance(profile, map);
-  // decide_s is the one measured (machine-dependent) overhead the session
-  // produces; every other term is modeled.  Deterministic traces zero it
-  // here — before it flows into rebalance_decisions rows or the event_s /
-  // stall_s accumulators — so the whole trace is a pure function of the
-  // scenario (the golden-trace gate depends on this).
-  if (cfg_.telemetry.deterministic) outcome.overhead.decide_s = 0.0;
-  return outcome;
-}
-
 void TrainingSession::polish(const balance::LayerProfile& profile,
                              const char* trigger, double& event_time) {
   auto& R = *run_;
   R.rebalancer.emplace(make_rebalancer(R.active));
-  const auto rb = run_rebalance(profile, R.map);
+  const auto rb = R.rebalancer->rebalance(profile, R.map);
   R.map = rb.map;
   account_outcome(rb, 1.0, R.iter, trigger);
   // A one-off event accounted like any other rebalance, except profiling:
@@ -599,10 +586,13 @@ void TrainingSession::start() {
             // their stage_to_rank.
             const auto ranks = deployment_->stage_to_rank().first(
                 static_cast<std::size_t>(current.num_stages()));
-            return cluster::HierarchicalBalancer(deployment_->topology(),
-                                                 hier_cfg)
-                .balance(req, current, ranks)
-                .map;
+            auto r = cluster::HierarchicalBalancer(deployment_->topology(),
+                                                   hier_cfg)
+                         .balance(req, current, ranks);
+            balance::DiffusionResult d;
+            d.map = std::move(r.map);
+            d.rounds = r.rounds;
+            return d;
           };
     }
   }
@@ -999,7 +989,7 @@ double TrainingSession::step() {
     balance::LayerProfile profile = raw_profile(layer_seconds, mem);
     balance::add_measurement_noise(profile, R.noise_rng);
 
-    const auto outcome = run_rebalance(profile, map);
+    const auto outcome = R.rebalancer->rebalance(profile, map);
     map = outcome.map;
     account_outcome(outcome, events_per_window, iter, "periodic");
     balance::OverheadBreakdown scaled = outcome.overhead;

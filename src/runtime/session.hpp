@@ -215,8 +215,11 @@ struct IterationSample {
   /// One-off stall charged at this iteration on top of `time_s`:
   /// rebalance/migration overhead, re-pack transfers, restart stalls.
   double stall_s = 0.0;
+
+  bool operator==(const IterationSample&) const = default;
 };
 
+/// Every field is modeled: two runs of one (scenario, seed) compare equal.
 struct SessionResult {
   double total_time_s = 0.0;
   double tokens_per_sec = 0.0;        ///< aggregate over DP replicas
@@ -286,6 +289,8 @@ struct SessionResult {
   double overhead_fraction = 0.0;            ///< overhead / total time
   pipeline::StageMap final_map;
   std::vector<IterationSample> samples;
+
+  bool operator==(const SessionResult&) const = default;
 };
 
 /// Priced preview of an externally-initiated elastic transition: what a
@@ -387,11 +392,6 @@ class TrainingSession {
                               double scale);
   void account_outcome(const balance::RebalanceOutcome& outcome, double scale,
                        std::int64_t iter, const char* trigger);
-  /// All rebalances (periodic, post-pack, post-restart) go through here:
-  /// under telemetry.deterministic the measured decide_s is zeroed at the
-  /// source, before it can leak into event_s/stall_s sums downstream.
-  balance::RebalanceOutcome run_rebalance(const balance::LayerProfile& profile,
-                                          const pipeline::StageMap& map);
   /// Right after a pack or restart: rebuild the rebalancer over the new
   /// worker count, rebalance on `profile` and adopt the result; profiling
   /// is not re-charged.

@@ -1,5 +1,6 @@
 #include "runtime/threaded.hpp"
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <cstring>
@@ -18,6 +19,14 @@
 namespace dynmo::runtime {
 
 namespace {
+
+using Clock = std::chrono::steady_clock;
+
+/// Wall seconds since `t0`: the runtime's measured times (busy, iteration,
+/// stall), which its catalog declares "deterministic": false.
+double seconds_since(Clock::time_point t0) {
+  return std::chrono::duration<double>(Clock::now() - t0).count();
+}
 
 // Fault recovery re-creates the pipeline's point-to-point traffic under a
 // fresh tag namespace (an "epoch") so stale in-flight messages from an
@@ -86,19 +95,18 @@ struct FaultShared {
 };
 
 /// Missed-heartbeat monitor: a monitored rank whose counter stays frozen
-/// for `timeout_s` of real time is declared dead and a recovery
+/// for `timeout_s` of polling is declared dead and a recovery
 /// rendezvous is requested.  One victim per recovery cycle; the monitor
-/// pauses (and re-snapshots) while a recovery is in flight.
+/// pauses (and re-snapshots) while a recovery is in flight.  Silence is
+/// counted in polls of nominal length: a monitor the OS schedules late
+/// does not charge its own lateness to the ranks it could not watch.
 void monitor_main(FaultShared& fs, double timeout_s) {
+  constexpr double kPollS = 0.002;
   const std::size_t n = fs.beats.size();
   std::vector<std::uint64_t> snap(n, 0);
   std::vector<double> frozen_s(n, 0.0);
-  auto last = std::chrono::steady_clock::now();
   while (!fs.stop.load(std::memory_order_acquire)) {
-    std::this_thread::sleep_for(std::chrono::milliseconds(2));
-    const auto now = std::chrono::steady_clock::now();
-    const double dt = std::chrono::duration<double>(now - last).count();
-    last = now;
+    std::this_thread::sleep_for(std::chrono::duration<double>(kPollS));
     if (fs.recovery_requested.load(std::memory_order_acquire)) {
       for (std::size_t r = 0; r < n; ++r) {
         snap[r] = fs.beats[r].load(std::memory_order_relaxed);
@@ -118,7 +126,7 @@ void monitor_main(FaultShared& fs, double timeout_s) {
         frozen_s[r] = 0.0;
         continue;
       }
-      frozen_s[r] += dt;
+      frozen_s[r] += kPollS;
       if (frozen_s[r] >= timeout_s) {
         {
           std::scoped_lock lk(fs.mu);
@@ -317,6 +325,8 @@ ThreadedReport ThreadedPipeline::run(const std::vector<PlanPhase>& phases) {
     info.pipeline_stages = cfg_.workers;
     info.seed = cfg_.seed;
     info.mode = "threaded";
+    info.measured_columns = {"iterations.time_s", "elastic_transitions.stall_s",
+                             "fault_events.stall_s"};
     trace_storage.emplace(cfg_.telemetry, std::move(info));
   }
   telemetry::TraceWriter* const trace =
@@ -360,6 +370,17 @@ ThreadedReport ThreadedPipeline::run(const std::vector<PlanPhase>& phases) {
         if (auto m = wcomm.try_recv(src, tag)) return std::move(*m);
         fs->tick(rank);
         std::this_thread::yield();
+      }
+    };
+
+    // A straggler's stretched compute passes in slices of a quarter
+    // heartbeat timeout, ticking after each: slow is not silent.
+    const auto stretch = [&](double s) {
+      const double slice = fs != nullptr ? 0.25 * cfg.heartbeat_timeout_s : s;
+      for (; s > 0.0; s -= slice) {
+        std::this_thread::sleep_for(
+            std::chrono::duration<double>(std::min(s, slice)));
+        if (fs != nullptr) fs->tick(rank);
       }
     };
 
@@ -423,7 +444,7 @@ ThreadedReport ThreadedPipeline::run(const std::vector<PlanPhase>& phases) {
     // epoch bumps so stale in-flight messages rot unread.
     const auto do_recovery = [&]() {
       served_id = fs->recovery_id.load(std::memory_order_acquire);
-      const auto t0 = std::chrono::steady_clock::now();
+      const auto t0 = Clock::now();
       fs->set_monitored(rank, false);
       const int dead = fs->dead_rank.load(std::memory_order_acquire);
       const int before = world_active_count();
@@ -462,12 +483,7 @@ ThreadedReport ThreadedPipeline::run(const std::vector<PlanPhase>& phases) {
           row.workers_after = before - 1;
           // Measured wall stall of detect-to-resume; the modeled
           // breakdown terms stay 0 in this runtime (docs/TELEMETRY.md).
-          // Deterministic traces zero the measurement at the source.
-          row.stall_s = cfg.telemetry.deterministic
-                            ? 0.0
-                            : std::chrono::duration<double>(
-                                  std::chrono::steady_clock::now() - t0)
-                                  .count();
+          row.stall_s = seconds_since(t0);
           row.lost_iters = victim_at > global_it ? victim_at - global_it : 0;
           trace->write(row);
         }
@@ -538,7 +554,7 @@ ThreadedReport ThreadedPipeline::run(const std::vector<PlanPhase>& phases) {
       // it and no migration is needed.
       if (phase.restart_active) {
         const auto& act = *phase.restart_active;
-        const auto restart_t0 = std::chrono::steady_clock::now();
+        const auto restart_t0 = Clock::now();
         // 1a. Every rank — released ones included — ships its layers to
         // rank 0, which assembles and serializes the Checkpoint.
         std::vector<std::byte> blob = gather_checkpoint(map);
@@ -564,12 +580,7 @@ ThreadedReport ThreadedPipeline::run(const std::vector<PlanPhase>& phases) {
           row.workers_after = after;
           // Measured wall stall of the whole gather/serialize/broadcast/
           // reload/re-split sequence; the modeled breakdown terms stay 0.
-          row.stall_s = cfg.telemetry.deterministic
-                            ? 0.0
-                            : std::chrono::duration<double>(
-                                  std::chrono::steady_clock::now() -
-                                  restart_t0)
-                                  .count();
+          row.stall_s = seconds_since(restart_t0);
           trace->write(row);
           world_active = after;
         }
@@ -583,7 +594,7 @@ ThreadedReport ThreadedPipeline::run(const std::vector<PlanPhase>& phases) {
             auto it = weights.find(l);
             DYNMO_CHECK(it != weights.end(),
                         "migration source lacks layer " << l);
-            const auto t0 = std::chrono::steady_clock::now();
+            const auto t0 = Clock::now();
             send_tensor(wcomm, dst, kMigrationBase + static_cast<comm::Tag>(l),
                         it->second);
             stats.bytes_migrated += it->second.bytes();
@@ -598,9 +609,7 @@ ThreadedReport ThreadedPipeline::run(const std::vector<PlanPhase>& phases) {
               trace->write(mrow);
             }
             weights.erase(it);
-            stats.busy_s += std::chrono::duration<double>(
-                                std::chrono::steady_clock::now() - t0)
-                                .count();
+            stats.busy_s += seconds_since(t0);
           } else if (rank == dst) {
             weights.emplace(
                 l, recv_tensor(wcomm, src,
@@ -738,7 +747,7 @@ ThreadedReport ThreadedPipeline::run(const std::vector<PlanPhase>& phases) {
           const int prev = prev_hosting_stage(m, rank);
           const int next = next_hosting_stage(m, rank);
           const int die_mb = cfg.microbatches / 2;
-          const auto iter_t0 = std::chrono::steady_clock::now();
+          const auto iter_t0 = Clock::now();
           // Forward sweep over microbatches (GPipe-style data flow; real
           // pipelining emerges from message availability across threads).
           for (int mb = 0; mb < cfg.microbatches; ++mb) {
@@ -749,22 +758,17 @@ ThreadedReport ThreadedPipeline::run(const std::vector<PlanPhase>& phases) {
                 (rank == first)
                     ? make_input(global_it, mb, cfg)
                     : tensor_from_payload(recv_msg(prev, fwd_tag(epoch)));
-            const auto t0 = std::chrono::steady_clock::now();
+            const auto t0 = Clock::now();
             for (std::size_t l = m.stage_begin(rank); l < m.stage_end(rank);
                  ++l) {
               x = tensor::matmul(x, weights.at(l));
               tensor::relu_inplace(x);
             }
-            const double busy = std::chrono::duration<double>(
-                                    std::chrono::steady_clock::now() - t0)
-                                    .count();
+            const double busy = seconds_since(t0);
             stats.busy_s += busy;
             // A straggler computes at a fraction of healthy speed: the
             // math is untouched, the wall time stretches.
-            if (slow_mult < 1.0) {
-              std::this_thread::sleep_for(std::chrono::duration<double>(
-                  busy * (1.0 / slow_mult - 1.0)));
-            }
+            if (slow_mult < 1.0) stretch(busy * (1.0 / slow_mult - 1.0));
             if (next >= 0) {
               send_tensor(wcomm, next, fwd_tag(epoch), x);
             } else {
@@ -778,7 +782,7 @@ ThreadedReport ThreadedPipeline::run(const std::vector<PlanPhase>& phases) {
                 (next < 0)
                     ? tensor::Tensor(cfg.batch_rows, cfg.hidden, 1.0f)
                     : tensor_from_payload(recv_msg(next, bwd_tag(epoch)));
-            const auto t0 = std::chrono::steady_clock::now();
+            const auto t0 = Clock::now();
             for (std::size_t l = m.stage_end(rank);
                  l-- > m.stage_begin(rank);) {
               g = tensor::matmul(g, weights.at(l));
@@ -789,14 +793,9 @@ ThreadedReport ThreadedPipeline::run(const std::vector<PlanPhase>& phases) {
                 for (float& v : w) v *= decay;
               }
             }
-            const double busy = std::chrono::duration<double>(
-                                    std::chrono::steady_clock::now() - t0)
-                                    .count();
+            const double busy = seconds_since(t0);
             stats.busy_s += busy;
-            if (slow_mult < 1.0) {
-              std::this_thread::sleep_for(std::chrono::duration<double>(
-                  busy * (1.0 / slow_mult - 1.0)));
-            }
+            if (slow_mult < 1.0) stretch(busy * (1.0 / slow_mult - 1.0));
             if (prev >= 0) send_tensor(wcomm, prev, bwd_tag(epoch), g);
           }
           ++stats.iterations_run;
@@ -808,11 +807,7 @@ ThreadedReport ThreadedPipeline::run(const std::vector<PlanPhase>& phases) {
             // iter — the trace records what actually ran.
             telemetry::IterationRow row;
             row.iter = global_it;
-            row.time_s = cfg.telemetry.deterministic
-                             ? 0.0
-                             : std::chrono::duration<double>(
-                                   std::chrono::steady_clock::now() - iter_t0)
-                                   .count();
+            row.time_s = seconds_since(iter_t0);
             row.active_workers = world_active;
             trace->write(row);
           }
@@ -878,7 +873,7 @@ ThreadedReport ThreadedPipeline::run(const std::vector<PlanPhase>& phases) {
     }
   };
 
-  const auto wall0 = std::chrono::steady_clock::now();
+  const auto wall0 = Clock::now();
   std::vector<std::thread> threads;
   threads.reserve(static_cast<std::size_t>(cfg_.workers));
   for (int r = 0; r < cfg_.workers; ++r) {
@@ -891,10 +886,9 @@ ThreadedReport ThreadedPipeline::run(const std::vector<PlanPhase>& phases) {
     fs->stop.store(true, std::memory_order_release);
     monitor.join();
   }
-  const auto wall1 = std::chrono::steady_clock::now();
 
   ThreadedReport report;
-  report.wall_s = std::chrono::duration<double>(wall1 - wall0).count();
+  report.wall_s = seconds_since(wall0);
   report.worker_busy_s.assign(static_cast<std::size_t>(cfg_.workers), 0.0);
   report.weight_checksums.assign(cfg_.num_layers, 0);
   if (fs != nullptr) {

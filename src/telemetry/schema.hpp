@@ -238,7 +238,7 @@ struct TableOf<RebalanceDecisionRow> {
        "load imbalance (paper Eq. 2) before"},
       {"imbalance_after", &R::imbalance_after, "1", "load imbalance after"},
       {"decide_s", &R::decide_s, "s",
-       "measured decision wall-clock (machine-dependent)"},
+       "modeled decision time, charged from the balancer's work counter"},
   });
 };
 
@@ -509,6 +509,11 @@ struct RunInfo {
   std::vector<int> stage_to_rank;    ///< empty → stage s is rank s
   std::vector<double> capacities;    ///< empty → uniform
   std::vector<double> layer_params;  ///< static per-layer parameter counts
+  /// Columns this producer fills from a real clock, as "table.column"
+  /// (the threaded runtime's measured iteration and stall times).  The
+  /// catalog marks each `"deterministic": false`; every other column is a
+  /// pure function of the scenario, which the golden-trace gate relies on.
+  std::vector<std::string> measured_columns;
 };
 
 /// Telemetry knob embedded in runtime configs: disabled (and zero-cost)
@@ -520,12 +525,6 @@ struct TelemetryConfig {
   /// Record the per-layer arrays in stage_loads (required for replay;
   /// turn off to shrink traces when only stage totals are wanted).
   bool per_layer = true;
-  /// Zero the *measured* wall-clock columns at the producer (session
-  /// decide_s; threaded time_s / stall_s) so two runs of the same scenario
-  /// emit byte-identical tables on any machine and any backend.  Modeled
-  /// times are untouched — they are deterministic already.  This is what
-  /// the golden-trace CI gate records with (docs/TRANSPORT.md).
-  bool deterministic = false;
 
   bool enabled() const { return !dir.empty(); }
 };

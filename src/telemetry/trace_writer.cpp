@@ -2,6 +2,7 @@
 
 #include <unistd.h>
 
+#include <algorithm>
 #include <filesystem>
 #include <type_traits>
 #include <variant>
@@ -172,8 +173,7 @@ void TraceWriter::write_catalog() {
   list_field("stage_to_rank", run_.stage_to_rank);
   list_field("capacities", run_.capacities);
   list_field("layer_params", run_.layer_params);
-  bool_field("per_layer", cfg_.per_layer);
-  bool_field("deterministic", cfg_.deterministic, /*comma=*/false);
+  bool_field("per_layer", cfg_.per_layer, /*comma=*/false);
   out += "  },\n";
 
   out += "  \"tables\": [\n";
@@ -198,6 +198,11 @@ void TraceWriter::write_catalog() {
       out += col.unit;
       out += "\", \"description\": ";
       append_json_string(out, col.description);
+      if (std::ranges::find(run_.measured_columns,
+                            std::string(spec.name) + "." + col.name) !=
+          run_.measured_columns.end()) {
+        out += ", \"deterministic\": false";
+      }
       out += c + 1 < spec.columns.size() ? "},\n" : "}\n";
     }
     out += "     ]}";

@@ -515,27 +515,10 @@ TEST(SessionElastic, ForcedShrinkTakesTheCheckpointPathDeterministically) {
   EXPECT_GT(preempts[0].ckpt_read_s, 0.0);
 
   // Determinism: the identical run, preempted at the identical window,
-  // reproduces every modeled quantity exactly.  (Wall-clock totals carry
-  // measured balancer-decision overhead and are not compared bit-for-bit —
-  // see docs/RUNTIME.md.)
+  // reproduces the whole result bit for bit, the time totals included.
   const auto b = run_once((base / "b").string());
-  EXPECT_EQ(b.forced_shrinks, a.forced_shrinks);
-  EXPECT_DOUBLE_EQ(b.restart_stall_s, a.restart_stall_s);
-  EXPECT_DOUBLE_EQ(b.avg_idleness, a.avg_idleness);
-  EXPECT_DOUBLE_EQ(b.avg_bubble_ratio, a.avg_bubble_ratio);
-  EXPECT_DOUBLE_EQ(b.avg_active_workers, a.avg_active_workers);
-  EXPECT_DOUBLE_EQ(b.peak_stage_memory, a.peak_stage_memory);
-  ASSERT_EQ(b.samples.size(), a.samples.size());
-  for (std::size_t i = 0; i < a.samples.size(); ++i) {
-    EXPECT_EQ(b.samples[i].iter, a.samples[i].iter);
-    EXPECT_EQ(b.samples[i].active_workers, a.samples[i].active_workers);
-    EXPECT_DOUBLE_EQ(b.samples[i].idleness, a.samples[i].idleness);
-  }
-  ASSERT_EQ(b.final_map.num_stages(), a.final_map.num_stages());
-  for (int s = 0; s < a.final_map.num_stages(); ++s) {
-    EXPECT_EQ(b.final_map.stage_begin(s), a.final_map.stage_begin(s));
-    EXPECT_EQ(b.final_map.stage_end(s), a.final_map.stage_end(s));
-  }
+  EXPECT_EQ(b.total_time_s, a.total_time_s);
+  EXPECT_TRUE(b == a);
   std::filesystem::remove_all(base);
 }
 

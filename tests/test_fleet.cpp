@@ -122,31 +122,11 @@ TEST(FleetSession, RunEqualsStartStepFinish) {
   EXPECT_EQ(steps, 40);  // 400 iterations at stride 10
   const auto b = stepped.finish();
 
-  // The loop was moved, not reinterpreted: every modeled quantity and
-  // decision matches exactly.  Totals carry the *measured* balancer
-  // decision wall-clock (overhead is charged from the machine clock, so
-  // no two runs agree to the last bit) — those get a tight tolerance.
-  EXPECT_NEAR(a.total_time_s, b.total_time_s, 1e-3 * a.total_time_s);
-  EXPECT_NEAR(a.tokens_per_sec, b.tokens_per_sec, 1e-3 * a.tokens_per_sec);
-  EXPECT_DOUBLE_EQ(a.avg_idleness, b.avg_idleness);
-  EXPECT_DOUBLE_EQ(a.avg_bubble_ratio, b.avg_bubble_ratio);
-  EXPECT_DOUBLE_EQ(a.peak_stage_memory, b.peak_stage_memory);
-  EXPECT_EQ(a.rebalance_count, b.rebalance_count);
-  EXPECT_EQ(a.maps_accepted, b.maps_accepted);
-  EXPECT_EQ(a.maps_rejected_bottleneck, b.maps_rejected_bottleneck);
-  EXPECT_EQ(a.maps_rejected_payoff, b.maps_rejected_payoff);
-  ASSERT_EQ(a.final_map.num_stages(), b.final_map.num_stages());
-  for (int s = 0; s < a.final_map.num_stages(); ++s) {
-    EXPECT_EQ(a.final_map.stage_begin(s), b.final_map.stage_begin(s));
-  }
-  ASSERT_EQ(a.samples.size(), b.samples.size());
-  for (std::size_t i = 0; i < a.samples.size(); ++i) {
-    EXPECT_EQ(a.samples[i].iter, b.samples[i].iter);
-    EXPECT_EQ(a.samples[i].active_workers, b.samples[i].active_workers);
-    EXPECT_EQ(a.samples[i].rebalanced, b.samples[i].rebalanced);
-    EXPECT_NEAR(a.samples[i].time_s, b.samples[i].time_s,
-                1e-3 * a.samples[i].time_s);
-  }
+  // The loop was moved, not reinterpreted: the whole result matches
+  // bit for bit, the time totals included.
+  EXPECT_EQ(a.total_time_s, b.total_time_s);
+  EXPECT_EQ(a.tokens_per_sec, b.tokens_per_sec);
+  EXPECT_TRUE(a == b);
 }
 
 TEST(FleetSession, StartBelowCeilingRequiresElastic) {

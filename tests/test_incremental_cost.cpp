@@ -381,7 +381,7 @@ TEST(RebalancerDifferential, IncrementalMatchesFullRescanOverStream) {
         ASSERT_EQ(a.candidate_bytes, b.candidate_bytes) << "iter " << iter;
         ASSERT_EQ(a.overhead.profile_s, b.overhead.profile_s);
         ASSERT_EQ(a.overhead.migrate_s, b.overhead.migrate_s);
-        // decide_s is measured wall clock — the one field that may differ.
+        ASSERT_EQ(a.overhead.decide_s, b.overhead.decide_s);
         ASSERT_EQ(a.migration.transfers.size(), b.migration.transfers.size());
         for (std::size_t i = 0; i < a.migration.transfers.size(); ++i) {
           ASSERT_EQ(a.migration.transfers[i].layer,
@@ -472,7 +472,6 @@ TEST(SessionGolden, IncrementalRunEmitsByteIdenticalTelemetry) {
     opt.session.algorithm = balance::Algorithm::Diffusion;
     opt.session.payoff_window_iters = 20.0;
     opt.session.telemetry.dir = dir.string();
-    opt.session.telemetry.deterministic = true;
     opt.session.incremental_decisions = incremental;
     Session session(model::make_gpt({.num_blocks = 16,
                                      .include_embedding = false,

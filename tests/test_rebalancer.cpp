@@ -60,6 +60,9 @@ TEST(Rebalancer, DiffusionOutcomeCarriesConvergenceData) {
   ASSERT_TRUE(out.diffusion.has_value());
   EXPECT_GT(out.diffusion->rounds, 0);
   EXPECT_FALSE(out.diffusion->phi_history.empty());
+  // Rounds x stages at the calibrated per-stage-round cost.
+  EXPECT_EQ(out.overhead.decide_s,
+            kDiffusionStageRoundS * out.diffusion->rounds * 4.0);
 }
 
 TEST(Rebalancer, OverheadBreakdownPopulated) {
@@ -68,7 +71,15 @@ TEST(Rebalancer, OverheadBreakdownPopulated) {
   const auto start = pipeline::StageMap::uniform(12, 4);
   const auto out = reb.rebalance(skewed_profile(), start);
   EXPECT_GT(out.overhead.profile_s, 0.0);
-  EXPECT_GT(out.overhead.decide_s, 0.0);
+  // Probes x layers at the calibrated per-layer-probe cost.
+  const auto p = skewed_profile();
+  const int probes = PartitionBalancer{}
+                         .balance({.weights = p.time_s,
+                                   .memory_bytes = p.memory_bytes,
+                                   .num_stages = 4})
+                         .probes;
+  EXPECT_GT(probes, 3);
+  EXPECT_EQ(out.overhead.decide_s, kPartitionLayerProbeS * probes * 12.0);
   EXPECT_GE(out.overhead.migrate_s, 0.0);
   EXPECT_NEAR(out.overhead.total_s(),
               out.overhead.profile_s + out.overhead.decide_s +
@@ -108,9 +119,13 @@ TEST(Rebalancer, HierarchicalDeciderIsInjected) {
     invoked = true;
     EXPECT_EQ(req.weights.size(), current.num_layers());
     // Hand back the optimal contiguous split — what the real
-    // cluster::HierarchicalBalancer would converge to on one node.
-    return pipeline::StageMap::greedy_by_weight(req.weights,
-                                                current.num_stages());
+    // cluster::HierarchicalBalancer would converge to on one node — and
+    // the rounds it took.
+    DiffusionResult r;
+    r.map = pipeline::StageMap::greedy_by_weight(req.weights,
+                                                 current.num_stages());
+    r.rounds = 7;
+    return r;
   };
   Rebalancer reb(cfg, comm::CostModel{});
   const auto start = pipeline::StageMap::uniform(12, 4);
@@ -118,6 +133,8 @@ TEST(Rebalancer, HierarchicalDeciderIsInjected) {
   EXPECT_TRUE(invoked);
   EXPECT_LT(out.imbalance_after, out.imbalance_before);
   EXPECT_FALSE(out.diffusion.has_value());
+  // The decider's rounds are charged like flat diffusion rounds.
+  EXPECT_EQ(out.overhead.decide_s, kDiffusionStageRoundS * 7 * 4.0);
 }
 
 TEST(Rebalancer, HierarchicalWithoutDeciderFallsBackToDiffusion) {

@@ -404,24 +404,9 @@ TEST(Telemetry, DisabledTelemetryDoesNotPerturbResults) {
   Session without_trace(traced_model(), UseCase::SparseAttention, off);
   const auto b = without_trace.run();
 
-  // Identical decision ledger either way: recording is pure observation.
-  // (Time totals carry the *measured* decide wall-clock — jittery between
-  // any two runs, telemetry or not — so the modeled remainder is compared
-  // after subtracting it.)
-  EXPECT_EQ(a.rebalance_count, b.rebalance_count);
-  EXPECT_EQ(a.maps_accepted, b.maps_accepted);
-  EXPECT_EQ(a.maps_rejected_payoff, b.maps_rejected_payoff);
-  EXPECT_EQ(a.intra_node_migration_bytes, b.intra_node_migration_bytes);
-  EXPECT_EQ(a.inter_node_migration_bytes, b.inter_node_migration_bytes);
-  EXPECT_EQ(a.final_map.boundaries(), b.final_map.boundaries());
-  ASSERT_EQ(a.samples.size(), b.samples.size());
-  for (std::size_t i = 0; i < a.samples.size(); ++i) {
-    EXPECT_EQ(a.samples[i].idleness, b.samples[i].idleness);
-    EXPECT_EQ(a.samples[i].rebalanced, b.samples[i].rebalanced);
-  }
-  const double a_modeled = a.total_time_s - a.overhead.decide_s;
-  const double b_modeled = b.total_time_s - b.overhead.decide_s;
-  EXPECT_NEAR(a_modeled, b_modeled, 1e-9 * b_modeled);
+  // Bit-identical results either way: recording is pure observation.
+  EXPECT_EQ(a.total_time_s, b.total_time_s);
+  EXPECT_TRUE(a == b);
 }
 
 TEST(Telemetry, PerLayerOffReplayThrows) {

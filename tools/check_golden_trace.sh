@@ -28,12 +28,16 @@
 #                      BOTH transport backends.  The same bytes must come
 #                      out of inproc and socket: this is the proof that the
 #                      transport never leaks into the math (checksums.txt)
-#                      or the telemetry (JSONL tables).
+#                      or the telemetry (JSONL tables, declared-measured
+#                      columns aside).
 #
-# Every .jsonl table and checksums.txt must match byte-for-byte.  The
-# catalog.json is compared modulo its two machine-dependent metadata lines
-# ("transport", "machine") -- trace_writer emits each on its own line for
-# exactly this reason.  Any other drift fails the gate with exit 1.
+# Every .jsonl table and checksums.txt must match byte-for-byte, except
+# the columns the golden's catalog declares "deterministic": false (the
+# threaded runtime's wall-clock measurements): those are blanked on both
+# sides first.  The gate names no column itself.  The catalog.json is
+# compared modulo its two machine-dependent metadata lines ("transport",
+# "machine") -- trace_writer emits each on its own line for exactly this
+# reason.  Any other drift fails the gate with exit 1.
 #
 # Usage: tools/check_golden_trace.sh [BUILD_DIR]   (default: build)
 set -euo pipefail
@@ -57,6 +61,22 @@ strip_catalog() {
     grep -vE '^    "(transport|machine)": ' "$1"
 }
 
+# blank CATALOG FILE: FILE with each column CATALOG declares
+# "deterministic": false for FILE's table set to _.
+blank() {
+    python3 - "$1" "$2" <<'PY'
+import json, os, re, sys
+catalog, path = sys.argv[1:]
+cols = [c["name"] for t in json.load(open(catalog))["tables"]
+        if t["file"] == os.path.basename(path)
+        for c in t["columns"] if c.get("deterministic") is False]
+for line in open(path):
+    for c in cols:
+        line = re.sub(f'"{c}":[^,}}]*', f'"{c}":_', line)
+    sys.stdout.write(line)
+PY
+}
+
 # compare_dir GOLDEN_DIR REPLAY_DIR LABEL
 compare_dir() {
     local gold="$1" replay="$2" label="$3" base
@@ -73,12 +93,15 @@ compare_dir() {
         if [ "$base" = catalog.json ]; then
             if ! diff <(strip_catalog "$f") <(strip_catalog "$replay/$base") >/dev/null; then
                 echo "DRIFT[$label]: catalog.json differs beyond transport/machine:"
-                diff <(strip_catalog "$f") <(strip_catalog "$replay/$base") | head -8 | sed 's/^/    /'
+                { diff <(strip_catalog "$f") <(strip_catalog "$replay/$base") || true; } | head -8 | sed 's/^/    /'
                 fail=1
             fi
-        elif ! cmp -s "$f" "$replay/$base"; then
+        elif ! cmp -s <(blank "$gold/catalog.json" "$f") \
+                      <(blank "$gold/catalog.json" "$replay/$base"); then
             echo "DRIFT[$label]: $base differs from golden:"
-            diff "$f" "$replay/$base" | head -6 | sed 's/^/    /'
+            { diff <(blank "$gold/catalog.json" "$f") \
+                   <(blank "$gold/catalog.json" "$replay/$base") || true; } |
+                head -6 | sed 's/^/    /'
             fail=1
         fi
     done

@@ -1,5 +1,5 @@
 // golden_trace_gen: replay the canonical golden-trace scenarios
-// (docs/TRANSPORT.md "Golden-trace gate") with deterministic telemetry.
+// (docs/TRANSPORT.md "Golden-trace gate").
 //
 //   golden_trace_gen --scenario session        --out DIR [--decision-path P]
 //   golden_trace_gen --scenario large_grid     --out DIR [--decision-path P]
@@ -14,10 +14,10 @@
 // heartbeat-detected worker-loss recovery from the fault tests (3 workers,
 // loss at iteration 6, checkpoint cadence 4): real threads on a real
 // transport, it pins the determinism *contract* — the rows rank 0 emits
-// and the recovery checksums must be identical on every backend.  Traces
-// are recorded with TelemetryConfig::deterministic, so the measured
-// wall-clock columns are zeroed at the source and the remaining content is
-// a pure function of the scenario.
+// and the recovery checksums must be identical on every backend.  Every
+// modeled column is a pure function of the scenario; the threaded runtime's
+// measured wall-clock columns are declared `"deterministic": false` in its
+// catalog, and the gate blanks exactly those before comparing.
 //
 // `large_grid` is the canonical large deployment for the incremental
 // decision path: a 2×32 DP×PP grid on 8 DGX-H100 nodes (64 ranks),
@@ -78,7 +78,6 @@ void run_session(const std::string& out, bool incremental) {
   opt.session.algorithm = balance::Algorithm::Diffusion;
   opt.session.payoff_window_iters = 20.0;
   opt.session.telemetry.dir = out;
-  opt.session.telemetry.deterministic = true;
   opt.session.incremental_decisions = incremental;
   Session session(model::make_gpt({.num_blocks = 16,
                                    .include_embedding = false,
@@ -111,7 +110,6 @@ void run_large_grid(const std::string& out, bool incremental) {
       cluster::Topology::make_dgx_h100(8), /*data_parallel=*/2,
       /*num_stages=*/32, cluster::GridOrientation::PpInner);
   opt.session.telemetry.dir = out;
-  opt.session.telemetry.deterministic = true;
   opt.session.incremental_decisions = incremental;
   Session session(model::make_gpt({.num_blocks = 64,
                                    .include_embedding = false,
@@ -184,7 +182,6 @@ void run_session_elastic(const std::string& out, bool incremental) {
       {.worker = 1, .multiplier = 0.5, .from_iter = 2200, .until_iter = 2600}};
   cfg.checkpoint_interval_iters = 200;
   cfg.telemetry.dir = out;
-  cfg.telemetry.deterministic = true;
   cfg.incremental_decisions = incremental;
   const auto m = model::make_gpt({.num_blocks = 24,
                                   .include_embedding = false,
@@ -224,7 +221,6 @@ void run_session_repack(const std::string& out, bool incremental) {
       runtime::SessionConfig::RepackPolicy::ThroughputPreserving;
   opt.session.payoff_window_iters = 200.0;
   opt.session.telemetry.dir = out;
-  opt.session.telemetry.deterministic = true;
   opt.session.telemetry.per_layer = false;
   opt.session.incremental_decisions = incremental;
   Session session(model::make_gpt({.num_blocks = 24,
@@ -262,7 +258,6 @@ int run_threaded_fault(const std::string& out, dynmo::comm::TransportKind k) {
   cfg.checkpoint_interval_iters = 4;
   cfg.fault.losses = {{.iter = 6, .worker = 2}};
   cfg.telemetry.dir = out;
-  cfg.telemetry.deterministic = true;
   runtime::ThreadedPipeline faulty(cfg);
   const auto rep = faulty.run(plan);
 

@@ -22,7 +22,8 @@ with their stall breakdown, straggler onsets/recoveries:
   query_trace.py TRACE_DIR fault_events -w 'kind=worker_loss'
 --validate additionally checks each worker_loss row's stall identity
 (stall_s = alpha_s + bootstrap_s + ckpt_write_s + ckpt_read_s +
-lost_work_s).  Tables declaring column types this tool does not know are
+lost_work_s) unless the catalog declares stall_s measured
+("deterministic": false: a wall-clock stall has no modeled breakdown).  Tables declaring column types this tool does not know are
 skipped with a note instead of failing, so traces from newer producers
 stay queryable (forward compatibility).
 """
@@ -92,9 +93,9 @@ def iter_rows(trace_dir, table):
                 fail(f"{table['name']}:{lineno}: unparseable row: {e}")
 
 
-def _check_fault_event(row):
+def _check_fault_event(row, measured):
     """Semantic check for one fault_events row; returns a problem or None."""
-    if row.get("kind") == "worker_loss":
+    if row.get("kind") == "worker_loss" and "stall_s" not in measured:
         parts = (row.get("alpha_s", 0) + row.get("bootstrap_s", 0) +
                  row.get("ckpt_write_s", 0) + row.get("ckpt_read_s", 0) +
                  row.get("lost_work_s", 0))
@@ -138,6 +139,8 @@ def validate(trace_dir, catalog):
                   "(newer producer?)")
             continue
         semantic = _SEMANTIC_CHECKS.get(name)
+        measured = {c["name"] for c in columns
+                    if c.get("deterministic") is False}
         count = 0
         for lineno, row in iter_rows(trace_dir, table):
             count += 1
@@ -157,7 +160,7 @@ def validate(trace_dir, catalog):
                     problems.append(f"{name}:{lineno}: column {col} is not "
                                     f"a {typ}: {row[col]!r}")
             if semantic is not None:
-                issue = semantic(row)
+                issue = semantic(row, measured)
                 if issue:
                     problems.append(f"{name}:{lineno}: {issue}")
         if count != table.get("rows"):
