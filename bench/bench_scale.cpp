@@ -24,6 +24,11 @@
 // (evaluate_full_rescan, bottleneck_*_full_rescan) with exact equality —
 // the bench aborts on the first diverging bit (exit 3).
 //
+// A second table times the per-iteration pipeline phases at 64, 256 and
+// 1,024 stages (4 GPT blocks per stage, 256 microbatches): `build_us` is
+// one CostBuilder::build, `simulate_us` one pipeline::simulate under each
+// schedule.  Both are printed only.
+//
 // `--smoke` shrinks the sweep for sanitizer CI runs and skips the
 // *latency* gate (ASan/UBSan inflate wall clock several-fold); equality
 // checks and the memory gate still run.  `--json PATH` records the
@@ -41,6 +46,9 @@
 #include "balance/incremental.hpp"
 #include "balance/partition.hpp"
 #include "bench_common.hpp"
+#include "model/layer.hpp"
+#include "pipeline/cost_builder.hpp"
+#include "pipeline/schedule.hpp"
 
 namespace {
 
@@ -196,6 +204,47 @@ SweepResult run_size(int stages, int decisions, int partition_reps) {
   return out;
 }
 
+double us_since(Clock::time_point t0) {
+  return std::chrono::duration<double, std::micro>(Clock::now() - t0)
+      .count();
+}
+
+/// Mean wall time of CostBuilder::build and of pipeline::simulate under
+/// each schedule, on `stages` stages of 4 GPT blocks and 256 microbatches.
+void time_pipeline_phases(int stages, int reps) {
+  model::GptConfig g;
+  g.num_blocks = static_cast<std::size_t>(stages) * 4;
+  g.include_embedding = false;
+  g.include_lm_head = false;
+  const auto m = model::make_gpt(g);
+  pipeline::CostBuilderConfig cfg;
+  cfg.num_microbatches = 256;
+  const pipeline::CostBuilder builder(m, model::LayerCostModel{},
+                                      comm::CostModel{}, cfg);
+  const std::vector<model::LayerState> states(m.num_layers());
+  const auto map = pipeline::StageMap::uniform(m.num_layers(), stages);
+  auto costs = builder.build(states, map);  // warms the layer memo
+  auto t0 = Clock::now();
+  for (int r = 0; r < reps; ++r) costs = builder.build(states, map);
+  const double build_us = us_since(t0) / reps;
+  const struct {
+    pipeline::ScheduleKind kind;
+    const char* name;
+  } schedules[] = {{pipeline::ScheduleKind::GPipe, "gpipe"},
+                   {pipeline::ScheduleKind::OneFOneB, "1f1b"},
+                   {pipeline::ScheduleKind::ZbH1, "zb-h1"}};
+  for (const auto& sch : schedules) {
+    double sink = 0.0;
+    t0 = Clock::now();
+    for (int r = 0; r < reps; ++r) {
+      sink += pipeline::simulate(sch.kind, costs).makespan_s;
+    }
+    const double sim_us = us_since(t0) / reps;
+    std::printf("%8d %8zu %8s %10.1f %12.1f %12.6g\n", stages,
+                m.num_layers(), sch.name, build_us, sim_us, sink / reps);
+  }
+}
+
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -223,6 +272,15 @@ int main(int argc, char** argv) {
         r.stages, r.layers, r.mean_us, r.p50_us, r.p99_us,
         r.full_rescan_mean_us, r.partition_us, r.avg_touched_stages,
         r.total_plan_transfers, r.memory_bytes);
+  }
+
+  std::printf("\n== pipeline phases: 4 layers per stage, 256 microbatches "
+              "(wall clock, printed only) ==\n");
+  std::printf("%8s %8s %8s %10s %12s %12s\n", "stages", "layers",
+              "schedule", "build_us", "simulate_us", "makespan_s");
+  for (const int s : smoke ? std::vector<int>{64, 256}
+                           : std::vector<int>{64, 256, 1024}) {
+    time_pipeline_phases(s, smoke ? 1 : std::max(2, 4096 / s));
   }
 
   if (json != nullptr) {

@@ -120,17 +120,30 @@ StageCosts CostBuilder::build(std::span<const model::LayerState> states,
   for (int s = 0; s < S; ++s) {
     // Each stage's compute is charged on the GPU actually hosting it.
     const model::LayerCostModel& lc = stage_costs_.stage(s);
+    // Without a scale every microbatch costs the same: one left-to-right
+    // sum per stage keeps the row at one value per kind.
+    model::LayerTimes sum{};
     for (std::size_t l = map.stage_begin(s); l < map.stage_end(s); ++l) {
       const auto t =
           homogeneous
               ? ref_layer_times(l, states[l])
               : lc.layer_times(model_->layers[l], states[l], cfg_.micro_batch);
+      if (!mb_scale) {
+        sum.forward_s += t.forward_s;
+        sum.backward_input_s += t.backward_input_s;
+        sum.backward_weight_s += t.backward_weight_s;
+        continue;
+      }
       for (int mb = 0; mb < cfg_.num_microbatches; ++mb) {
-        const double scale = mb_scale ? std::max(0.0, mb_scale(l, mb)) : 1.0;
+        const double scale = std::max(0.0, mb_scale(l, mb));
         costs.fwd(s, mb) += t.forward_s * scale;
         costs.bwd_input(s, mb) += t.backward_input_s * scale;
         costs.bwd_weight(s, mb) += t.backward_weight_s * scale;
       }
+    }
+    if (!mb_scale) {
+      costs.set_stage(s, sum.forward_s, sum.backward_input_s,
+                      sum.backward_weight_s);
     }
   }
 

@@ -1,7 +1,7 @@
 #include "pipeline/schedule.hpp"
 
 #include <algorithm>
-#include <deque>
+#include <memory>
 #include <numeric>
 
 namespace dynmo::pipeline {
@@ -10,12 +10,36 @@ StageCosts::StageCosts(int num_stages, int num_microbatches)
     : stages_(num_stages), microbatches_(num_microbatches) {
   DYNMO_CHECK(num_stages > 0 && num_microbatches > 0,
               "stages/microbatches must be positive");
-  const auto n = static_cast<std::size_t>(num_stages) *
-                 static_cast<std::size_t>(num_microbatches);
-  fwd_.assign(n, 0.0);
-  bwd_input_.assign(n, 0.0);
-  bwd_weight_.assign(n, 0.0);
-  send_.assign(static_cast<std::size_t>(std::max(0, num_stages - 1)), 0.0);
+  rows_.resize(static_cast<std::size_t>(num_stages));
+  send_.assign(static_cast<std::size_t>(num_stages - 1), 0.0);
+}
+
+void StageCosts::set_stage(int s, double fwd, double bwd_input,
+                           double bwd_weight) {
+  DYNMO_ASSERT(s >= 0 && s < stages_, "stage out of range");
+  Row& r = rows_[static_cast<std::size_t>(s)];
+  r.value[0] = fwd;
+  r.value[1] = bwd_input;
+  r.value[2] = bwd_weight;
+  if (!r.per_mb.empty()) spread(r);
+}
+
+StageCosts::RowView StageCosts::row(int s) const {
+  const Row& r = rows_[static_cast<std::size_t>(s)];
+  if (r.per_mb.empty()) return {r.value, 1, 0};
+  return {r.per_mb.data(), static_cast<std::size_t>(microbatches_), 1};
+}
+
+void StageCosts::expand(Row& r) const {
+  r.per_mb.resize(3 * static_cast<std::size_t>(microbatches_));
+  spread(r);
+}
+
+void StageCosts::spread(Row& r) const {
+  const auto m = static_cast<std::ptrdiff_t>(microbatches_);
+  for (std::ptrdiff_t k = 0; k < 3; ++k) {
+    std::fill_n(r.per_mb.begin() + k * m, m, r.value[k]);
+  }
 }
 
 double PipelineResult::avg_idleness() const {
@@ -35,174 +59,165 @@ double PipelineResult::bubble_ratio() const {
 
 namespace {
 
-enum class OpKind { F, B, W };
+/// simulate() with the recorder test resolved at compile time: without
+/// calls in the op loop, its running times stay in registers.
+template <bool kRecord>
+PipelineResult simulate_ops(ScheduleKind kind, const StageCosts& costs,
+                            const OpRecorder& recorder) {
+  const int S = costs.num_stages();
+  const int m = costs.num_microbatches();
+  const bool gpipe = (kind == ScheduleKind::GPipe);
+  const bool split_wgrad = (kind == ScheduleKind::ZbH1);
 
-struct Op {
-  OpKind kind;
-  int mb;
-};
+  // A stage's program is implicit in its counters.  It runs `warmup` F
+  // ops, then alternates F and B until every F has run, then runs the
+  // remaining Bs.  GPipe is warmup = m with its Bs in reverse microbatch
+  // order; 1F1B and ZB-H1 run their Bs in microbatch order.  GPipe and
+  // 1F1B fuse the weight-gradient work into B.  ZB-H1 defers it: the W ops
+  // of microbatches [next_w, nb) wait to fill bubbles, in microbatch order.
+  struct Stage {
+    int nf = 0;  ///< F ops done; the next F is microbatch nf
+    int nb = 0;  ///< B ops done
+    int next_w = 0;
+    bool queued = false;
+    double time = 0.0;
+    double busy = 0.0;
+  };
+  std::vector<Stage> st(static_cast<std::size_t>(S));
 
-/// Per-stage op order for the requested schedule.  For GPipe and 1F1B the
-/// backward-weight work is fused into B; ZB-H1 emits separate W ops.
-std::vector<Op> stage_program(ScheduleKind kind, int s, int num_stages,
-                              int m) {
-  std::vector<Op> ops;
-  switch (kind) {
-    case ScheduleKind::GPipe: {
-      for (int i = 0; i < m; ++i) ops.push_back({OpKind::F, i});
-      for (int i = m - 1; i >= 0; --i) ops.push_back({OpKind::B, i});
-      break;
+  // Finish times, by op index: stage s's i-th F at done[2ms + i], its i-th
+  // B at done[2ms + m + i].  The k-th B of neighbouring stages is the same
+  // microbatch in every schedule.  One uninitialized allocation: an entry
+  // is read only after the counters show that it was written.
+  const auto mu = static_cast<std::size_t>(m);
+  const auto done = std::make_unique_for_overwrite<double[]>(
+      2 * mu * static_cast<std::size_t>(S));
+  const auto f_done = [&](int s) {
+    return &done[2 * mu * static_cast<std::size_t>(s)];
+  };
+  const auto b_done = [&](int s) { return f_done(s) + mu; };
+
+  // Only stage 0's first F has no cross-stage input; every other stage is
+  // queued when a neighbour's op unblocks it.
+  std::vector<int> work{0};
+  work.reserve(static_cast<std::size_t>(S));
+  st[0].queued = true;
+  const auto wake = [&](int s) {
+    if (!st[static_cast<std::size_t>(s)].queued) {
+      st[static_cast<std::size_t>(s)].queued = true;
+      work.push_back(s);
     }
-    case ScheduleKind::OneFOneB:
-    case ScheduleKind::ZbH1: {
-      const int warmup = std::min(m, num_stages - 1 - s);
-      int f = 0;
-      int b = 0;
-      for (int i = 0; i < warmup; ++i) ops.push_back({OpKind::F, f++});
-      while (f < m) {
-        ops.push_back({OpKind::F, f++});
-        ops.push_back({OpKind::B, b++});
+  };
+
+  while (!work.empty()) {
+    const int s = work.back();
+    work.pop_back();
+    Stage& run = st[static_cast<std::size_t>(s)];
+    run.queued = false;
+    // A visit changes only this stage, so the inputs its neighbours have
+    // produced are fixed for the whole visit: Fs [0, f_in) and Bs
+    // [0, b_in).  Stage 0's Fs and the last stage's Bs have no
+    // cross-stage input.
+    const bool first = s == 0;
+    const bool last = s == S - 1;
+    const int f_in = first ? m : st[static_cast<std::size_t>(s - 1)].nf;
+    const int b_in = last ? m : st[static_cast<std::size_t>(s + 1)].nb;
+    const double* f_src = first ? nullptr : f_done(s - 1);
+    const double* b_src = last ? nullptr : b_done(s + 1);
+    const double f_send = first ? 0.0 : costs.send(s - 1);
+    const double b_send = last ? 0.0 : costs.send(s);
+    double* f_out = f_done(s);
+    double* b_out = b_done(s);
+    const StageCosts::RowView row = costs.row(s);
+    const int warmup = gpipe ? m : std::min(m, S - 1 - s);
+    int nf = run.nf;
+    int nb = run.nb;
+    int next_w = run.next_w;
+    double time = run.time;
+    double busy = run.busy;
+    while (nb < m) {
+      // Earliest start on this stage; stop if the input is not simulated.
+      const bool is_f = nf < m && (nf < warmup || nf - warmup == nb);
+      int mb;
+      double ready;
+      if (is_f) {
+        if (nf >= f_in) break;
+        mb = nf;
+        ready = first ? 0.0 : f_src[mb] + f_send;
+      } else {
+        if (nb >= b_in) break;
+        mb = gpipe ? m - 1 - nb : nb;
+        // The last stage's B follows its own F of that microbatch.
+        ready = last ? f_out[mb] : b_src[nb] + b_send;
       }
-      while (b < m) ops.push_back({OpKind::B, b++});
-      break;
+      // ZB-H1: before stalling until `ready`, fill the bubble with any
+      // deferred weight-gradient work that fits entirely inside it.
+      if (split_wgrad && ready > time) {
+        for (; next_w < nb; ++next_w) {
+          const double wdur = row.bwd_weight(next_w);
+          if (time + wdur > ready) break;
+          if constexpr (kRecord) recorder(s, next_w, 'W', time, wdur);
+          time += wdur;
+          busy += wdur;
+        }
+      }
+      const double start = std::max(time, ready);
+      const double dur = is_f          ? row.fwd(mb)
+                         : split_wgrad ? row.bwd_input(mb)
+                                       : row.bwd_input(mb) + row.bwd_weight(mb);
+      if constexpr (kRecord) recorder(s, mb, is_f ? 'F' : 'B', start, dur);
+      time = start + dur;
+      busy += dur;
+      if (is_f) {
+        f_out[nf++] = time;
+      } else {
+        b_out[nb++] = time;
+      }
     }
+    // Finishing an F can unblock the next stage; finishing a B, the
+    // previous one.
+    const bool f_moved = nf > run.nf;
+    const bool b_moved = nb > run.nb;
+    run.nf = nf;
+    run.nb = nb;
+    run.next_w = next_w;
+    run.time = time;
+    run.busy = busy;
+    if (!last && f_moved) wake(s + 1);
+    if (!first && b_moved) wake(s - 1);
   }
-  return ops;
+
+  // Drain leftover weight-gradient work (must finish before the optimizer
+  // step at iteration end).
+  PipelineResult res;
+  for (int s = 0; s < S; ++s) {
+    auto& run = st[static_cast<std::size_t>(s)];
+    DYNMO_CHECK(run.nb == m, "pipeline deadlock at stage "
+                                 << s << ": op " << run.nf + run.nb << '/'
+                                 << 2 * m);
+    for (; split_wgrad && run.next_w < m; ++run.next_w) {
+      const double wdur = costs.row(s).bwd_weight(run.next_w);
+      if constexpr (kRecord) recorder(s, run.next_w, 'W', run.time, wdur);
+      run.time += wdur;
+      run.busy += wdur;
+    }
+    res.makespan_s = std::max(res.makespan_s, run.time);
+  }
+  res.busy_s.reserve(st.size());
+  res.idle_s.reserve(st.size());
+  for (const auto& run : st) {
+    res.busy_s.push_back(run.busy);
+    res.idle_s.push_back(res.makespan_s - run.busy);
+  }
+  return res;
 }
 
 }  // namespace
 
 PipelineResult simulate(ScheduleKind kind, const StageCosts& costs,
                         const OpRecorder& recorder) {
-  const int S = costs.num_stages();
-  const int m = costs.num_microbatches();
-  const bool split_wgrad = (kind == ScheduleKind::ZbH1);
-
-  // done[s][mb] for F and B; -1 = not yet executed.
-  const auto idx = [m](int s, int mb) {
-    return static_cast<std::size_t>(s) * static_cast<std::size_t>(m) +
-           static_cast<std::size_t>(mb);
-  };
-  std::vector<double> f_done(static_cast<std::size_t>(S) * m, -1.0);
-  std::vector<double> b_done(static_cast<std::size_t>(S) * m, -1.0);
-
-  struct StageRun {
-    std::vector<Op> program;
-    std::size_t next = 0;
-    double time = 0.0;
-    double busy = 0.0;
-    std::deque<int> pending_w;  // microbatches with deferred wgrad (ZB)
-  };
-  std::vector<StageRun> runs(static_cast<std::size_t>(S));
-  for (int s = 0; s < S; ++s) {
-    runs[static_cast<std::size_t>(s)].program = stage_program(kind, s, S, m);
-  }
-
-  const double kNotReady = -1.0;
-  // Earliest time the op may *start* on its stage; kNotReady if the
-  // cross-stage dependency has not been simulated yet.
-  const auto ready_time = [&](int s, const Op& op) -> double {
-    switch (op.kind) {
-      case OpKind::F: {
-        if (s == 0) return 0.0;
-        const double dep = f_done[idx(s - 1, op.mb)];
-        return dep < 0.0 ? kNotReady : dep + costs.send(s - 1);
-      }
-      case OpKind::B: {
-        if (s == S - 1) {
-          const double dep = f_done[idx(s, op.mb)];
-          return dep < 0.0 ? kNotReady : dep;
-        }
-        const double dep = b_done[idx(s + 1, op.mb)];
-        return dep < 0.0 ? kNotReady : dep + costs.send(s);
-      }
-      case OpKind::W: return 0.0;  // same-stage order guarantees B done
-    }
-    return kNotReady;
-  };
-
-  const auto duration = [&](int s, const Op& op) -> double {
-    switch (op.kind) {
-      case OpKind::F: return costs.fwd(s, op.mb);
-      case OpKind::B:
-        return split_wgrad ? costs.bwd_input(s, op.mb)
-                           : costs.bwd_input(s, op.mb) +
-                                 costs.bwd_weight(s, op.mb);
-      case OpKind::W: return costs.bwd_weight(s, op.mb);
-    }
-    return 0.0;
-  };
-
-  bool progress = true;
-  while (progress) {
-    progress = false;
-    for (int s = 0; s < S; ++s) {
-      auto& run = runs[static_cast<std::size_t>(s)];
-      while (run.next < run.program.size()) {
-        const Op op = run.program[run.next];
-        const double ready = ready_time(s, op);
-        if (ready == kNotReady) {
-          break;  // dependency not simulated yet: revisit next pass
-        }
-        // ZB-H1: before stalling until `ready`, fill the bubble with any
-        // deferred weight-gradient work that fits entirely inside it.
-        if (split_wgrad && ready > run.time) {
-          while (!run.pending_w.empty()) {
-            const int wmb = run.pending_w.front();
-            const double wdur = costs.bwd_weight(s, wmb);
-            if (run.time + wdur > ready) break;
-            if (recorder) recorder(s, wmb, 'W', run.time, wdur);
-            run.time += wdur;
-            run.busy += wdur;
-            run.pending_w.pop_front();
-          }
-        }
-        const double start = std::max(run.time, ready);
-        const double dur = duration(s, op);
-        if (recorder) {
-          recorder(s, op.mb, op.kind == OpKind::F ? 'F' : 'B', start, dur);
-        }
-        run.time = start + dur;
-        run.busy += dur;
-        if (op.kind == OpKind::F) {
-          f_done[idx(s, op.mb)] = run.time;
-        } else if (op.kind == OpKind::B) {
-          b_done[idx(s, op.mb)] = run.time;
-          if (split_wgrad) run.pending_w.push_back(op.mb);
-        }
-        ++run.next;
-        progress = true;
-      }
-    }
-  }
-
-  // Drain leftover weight-gradient work (must finish before the optimizer
-  // step at iteration end).
-  for (int s = 0; s < S; ++s) {
-    auto& run = runs[static_cast<std::size_t>(s)];
-    DYNMO_CHECK(run.next == run.program.size(),
-                "pipeline deadlock at stage " << s << ": op " << run.next
-                                              << '/' << run.program.size());
-    while (!run.pending_w.empty()) {
-      const double wdur = costs.bwd_weight(s, run.pending_w.front());
-      if (recorder) recorder(s, run.pending_w.front(), 'W', run.time, wdur);
-      run.time += wdur;
-      run.busy += wdur;
-      run.pending_w.pop_front();
-    }
-  }
-
-  PipelineResult res;
-  for (const auto& run : runs) {
-    res.makespan_s = std::max(res.makespan_s, run.time);
-  }
-  res.busy_s.reserve(runs.size());
-  res.idle_s.reserve(runs.size());
-  for (const auto& run : runs) {
-    res.busy_s.push_back(run.busy);
-    res.idle_s.push_back(res.makespan_s - run.busy);
-  }
-  return res;
+  return recorder ? simulate_ops<true>(kind, costs, recorder)
+                  : simulate_ops<false>(kind, costs, recorder);
 }
 
 }  // namespace dynmo::pipeline

@@ -1,7 +1,7 @@
 // Full-rescan oracles for the cached paths of pipeline::StageMap and
 // pipeline::CostBuilder, built on public API only.  The differential tests
-// in test_incremental_cost.cpp compare the production answers against
-// these with exact equality.
+// in test_incremental_cost.cpp and test_cost_builder.cpp compare the
+// production answers against these with exact equality.
 #pragma once
 
 #include <algorithm>
@@ -10,6 +10,7 @@
 
 #include "model/layer.hpp"
 #include "model/layer_cost.hpp"
+#include "pipeline/cost_builder.hpp"
 #include "pipeline/stage_map.hpp"
 
 namespace dynmo::testing {
@@ -52,6 +53,31 @@ inline std::vector<double> layer_memory_bytes_full_rescan(
         static_cast<std::size_t>(std::max(1, resident))));
   }
   return mem;
+}
+
+/// CostBuilder::build's compute costs as first written: for every layer
+/// of a stage, in layer order, and every microbatch, add the layer's
+/// times on the stage's own GPU scaled by max(0, mb_scale(layer, mb)), or
+/// by 1.0 without a scale.  Sends are left at zero.
+inline pipeline::StageCosts build_per_layer_microbatch(
+    const model::ModelDesc& m, const model::StageCostModels& stage_costs,
+    std::size_t micro_batch, int num_microbatches,
+    std::span<const model::LayerState> states, const pipeline::StageMap& map,
+    const pipeline::MicrobatchScaleFn& mb_scale = {}) {
+  pipeline::StageCosts costs(map.num_stages(), num_microbatches);
+  for (int s = 0; s < map.num_stages(); ++s) {
+    const model::LayerCostModel& lc = stage_costs.stage(s);
+    for (std::size_t l = map.stage_begin(s); l < map.stage_end(s); ++l) {
+      const auto t = lc.layer_times(m.layers[l], states[l], micro_batch);
+      for (int mb = 0; mb < num_microbatches; ++mb) {
+        const double scale = mb_scale ? std::max(0.0, mb_scale(l, mb)) : 1.0;
+        costs.fwd(s, mb) += t.forward_s * scale;
+        costs.bwd_input(s, mb) += t.backward_input_s * scale;
+        costs.bwd_weight(s, mb) += t.backward_weight_s * scale;
+      }
+    }
+  }
+  return costs;
 }
 
 }  // namespace dynmo::testing

@@ -10,7 +10,6 @@
 #include "core/rng.hpp"
 #include "pipeline/trace.hpp"
 #include "runtime/checkpoint.hpp"
-#include "stage_costs_util.hpp"
 
 namespace dynmo {
 namespace {
@@ -212,7 +211,7 @@ TEST(Checkpoint, RoundTripAcrossWorkerCounts) {
 
 TEST(Trace, EventsCoverAllWork) {
   pipeline::StageCosts costs(3, 4);
-  for (int s = 0; s < 3; ++s) testing::set_stage(costs, s, 1.0, 0.5, 0.5);
+  for (int s = 0; s < 3; ++s) costs.set_stage(s, 1.0, 0.5, 0.5);
   const auto [result, trace] =
       pipeline::simulate_traced(pipeline::ScheduleKind::ZbH1, costs);
   EXPECT_EQ(trace.makespan_s, result.makespan_s);
@@ -263,8 +262,8 @@ TEST(Trace, EventsNeverOverlapWithinStage) {
 
 TEST(Trace, ChromeJsonWellFormedish) {
   pipeline::StageCosts costs(2, 2);
-  testing::set_stage(costs, 0, 1.0, 1.0, 0.0);
-  testing::set_stage(costs, 1, 1.0, 1.0, 0.0);
+  costs.set_stage(0, 1.0, 1.0, 0.0);
+  costs.set_stage(1, 1.0, 1.0, 0.0);
   const auto [result, trace] =
       pipeline::simulate_traced(pipeline::ScheduleKind::GPipe, costs);
   const auto json = trace.to_chrome_json();

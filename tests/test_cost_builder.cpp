@@ -2,6 +2,8 @@
 #include <gtest/gtest.h>
 
 #include "core/error.hpp"
+#include "core/rng.hpp"
+#include "cost_oracles.hpp"
 #include "dynmo/dynmo.hpp"
 #include "pipeline/cost_builder.hpp"
 
@@ -127,6 +129,69 @@ TEST(CostBuilder, PerStageGpusChargeEachStageItsOwnHardware) {
   model::LayerCostModel h100{hw::GpuSpec::h100_sxm5()};
   EXPECT_DOUBLE_EQ(ref_times[7],
                    h100.layer_times(m.layers[7], states[7], 2).total_s());
+}
+
+TEST(CostBuilder, BuildMatchesPerLayerMicrobatchOracle) {
+  // build() sums a stage's layers once without a scale, and per
+  // microbatch with one; both must equal the (layer, microbatch) loop bit
+  // for bit, on uniform and on per-stage hardware.
+  const auto m = model::make_gpt({.num_blocks = 12});
+  const std::size_t L = m.num_layers();
+  Rng rng(17);
+  for (int trial = 0; trial < 60; ++trial) {
+    const int S = 1 + static_cast<int>(rng.uniform_int(8));
+    const int mbs = 1 + static_cast<int>(rng.uniform_int(8));
+    std::vector<model::LayerState> states(L);
+    for (auto& st : states) {
+      st.weight_density = rng.uniform(0.2, 1.0);
+      st.frozen = rng.bernoulli(0.2);
+      st.attn_density = rng.uniform(0.05, 0.5);
+      st.token_fraction = rng.uniform(0.3, 1.0);
+      st.compute_scale = rng.uniform(0.5, 2.0);
+    }
+    // Random boundaries; some stages come out empty.
+    std::vector<std::size_t> b{0};
+    for (int s = 1; s < S; ++s) b.push_back(rng.uniform_int(L + 1));
+    b.push_back(L);
+    std::sort(b.begin(), b.end());
+    const auto map = pipeline::StageMap::from_boundaries(b);
+    std::vector<hw::GpuSpec> gpus;
+    for (int s = 0; s < S; ++s) {
+      gpus.push_back(rng.bernoulli(0.5) ? hw::GpuSpec::h100_sxm5()
+                                        : hw::GpuSpec::a100_sxm4());
+    }
+    const std::vector<model::StageCostModels> hardware{
+        model::LayerCostModel{},
+        model::StageCostModels(model::LayerCostModel{}, gpus)};
+    const auto scale = [](std::size_t l, int mb) {
+      return 0.25 * static_cast<double>((l * 7 + 3 * mb) % 9) - 0.5;
+    };
+    for (const auto& hw : hardware) {
+      const pipeline::CostBuilder builder(
+          m, hw, comm::CostModel{}, pipeline::CostBuilderConfig{2, mbs});
+      for (const bool scaled : {false, true}) {
+        SCOPED_TRACE(::testing::Message()
+                     << "trial " << trial << ", S " << S << ", m " << mbs
+                     << ", per-stage " << hw.per_stage() << ", scaled "
+                     << scaled);
+        const pipeline::MicrobatchScaleFn fn =
+            scaled ? pipeline::MicrobatchScaleFn(scale) : nullptr;
+        const auto got = builder.build(states, map, fn);
+        const auto want = testing::build_per_layer_microbatch(
+            m, hw, 2, mbs, states, map, fn);
+        for (int s = 0; s < S; ++s) {
+          // Only a scaled stage with layers expands its row.
+          EXPECT_EQ(got.row(s).mb_stride,
+                    scaled && map.stage_size(s) > 0 ? 1u : 0u);
+          for (int mb = 0; mb < mbs; ++mb) {
+            ASSERT_EQ(got.fwd(s, mb), want.fwd(s, mb)) << s << ' ' << mb;
+            ASSERT_EQ(got.bwd_input(s, mb), want.bwd_input(s, mb));
+            ASSERT_EQ(got.bwd_weight(s, mb), want.bwd_weight(s, mb));
+          }
+        }
+      }
+    }
+  }
 }
 
 TEST(CostBuilder, RejectsMismatchedStates) {
