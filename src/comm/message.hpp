@@ -92,17 +92,29 @@ class Unpacker {
     return v;
   }
 
+  /// Read a put_span() record without copying it: the count, then a view
+  /// of the count × sizeof(T) bytes that follow, valid while the buffer
+  /// this Unpacker reads is.  The view is bytes, not T, because a record
+  /// need not be aligned for T; memcpy it out.
   template <typename T>
     requires std::is_trivially_copyable_v<T>
-  std::vector<T> get_vector() {
+  std::span<const std::byte> get_view() {
     const auto n = get<std::uint64_t>();
     // Divide instead of multiplying: a corrupted length near 2^64/sizeof(T)
     // must overrun, not wrap around and pass the bounds check.
     DYNMO_CHECK(n <= (buf_.size() - pos_) / sizeof(T), "unpack overrun");
-    std::vector<T> out(n);
-    if (n != 0) {  // memcpy requires non-null pointers even for size 0
-      std::memcpy(out.data(), buf_.data() + pos_, n * sizeof(T));
-      pos_ += n * sizeof(T);
+    const auto view = buf_.subspan(pos_, n * sizeof(T));
+    pos_ += view.size();
+    return view;
+  }
+
+  template <typename T>
+    requires std::is_trivially_copyable_v<T>
+  std::vector<T> get_vector() {
+    const auto bytes = get_view<T>();
+    std::vector<T> out(bytes.size() / sizeof(T));
+    if (!out.empty()) {  // memcpy requires non-null pointers even for size 0
+      std::memcpy(out.data(), bytes.data(), bytes.size());
     }
     return out;
   }

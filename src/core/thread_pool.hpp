@@ -1,8 +1,10 @@
 // Small work-stealing-free thread pool with a parallel_for helper.
 //
-// Used by the tensor kernels (gemm/spmm) to get real multi-core execution
-// in the threaded runtime, in the spirit of an OpenMP `parallel for` with
-// static scheduling.  The pool is created once and reused; parallel_for
+// Its one caller is MoE routing (dynamic::MoeEngine::step), which spreads
+// the (layer, microbatch) routing pairs over the cores, in the spirit of
+// an OpenMP `parallel for`.  The tensor kernels do not use it: the
+// threaded runtime calls them from its pipeline workers, which already
+// occupy the cores.  The pool is created once and reused; parallel_for
 // blocks until all chunks complete (structured parallelism, CP.22-friendly:
 // no detached work escapes the call).
 #pragma once

@@ -4,18 +4,25 @@
 #include <cstring>
 
 #include "core/error.hpp"
-#include "core/rng.hpp"
 
 namespace dynmo::runtime {
 
 namespace {
 
-std::uint64_t buffer_checksum(std::span<const std::byte> bytes) {
-  std::uint64_t h = 0x9e3779b97f4a7c15ULL;
-  for (std::size_t i = 0; i < bytes.size(); ++i) {
-    h = hash_mix(h, static_cast<std::uint8_t>(bytes[i]), i);
-  }
-  return h;
+/// MurmurHash3's 64-bit finalizer: a bijection on 64-bit words.
+constexpr std::uint64_t fmix64(std::uint64_t x) {
+  x ^= x >> 33;
+  x *= 0xff51afd7ed558ccdULL;
+  x ^= x >> 33;
+  x *= 0xc4ceb9fe1a85ec53ULL;
+  x ^= x >> 33;
+  return x;
+}
+
+/// Key XORed into word i, so a word's contribution depends on where it
+/// sits.
+constexpr std::uint64_t word_key(std::size_t i) {
+  return (static_cast<std::uint64_t>(i) + 1) * 0x9e3779b97f4a7c15ULL;
 }
 
 void pack_layer_state(comm::Packer& p, const model::LayerState& s) {
@@ -82,6 +89,35 @@ constexpr std::size_t kMinLayerTensorBytes = 4 * sizeof(std::uint64_t);
 
 }  // namespace
 
+std::uint64_t checkpoint_checksum(std::span<const std::byte> bytes) {
+  constexpr std::size_t kWord = sizeof(std::uint64_t);
+  constexpr std::size_t kLanes = 4;
+  const std::size_t words = bytes.size() / kWord;
+  // Word i adds fmix64(word ^ key(i)) into lane i % 4 (four independent
+  // sums, so the adds do not serialize).  The map from a word to its term
+  // is a bijection and the lane sums are mod 2^64, so changing any one
+  // word, or the zero-padded tail, changes its lane's sum.
+  std::uint64_t lane[kLanes] = {};
+  const auto add = [&](std::size_t i, std::size_t len) {
+    std::uint64_t w = 0;
+    std::memcpy(&w, bytes.data() + i * kWord, len);
+    lane[i % kLanes] += fmix64(w ^ word_key(i));
+  };
+  std::size_t i = 0;
+  // Whole blocks of 4 words, unrolled so each lane stays in a register.
+  for (; i + kLanes <= words; i += kLanes) {
+    for (std::size_t l = 0; l < kLanes; ++l) add(i + l, kWord);
+  }
+  for (; i < words; ++i) add(i, kWord);
+  if (const std::size_t tail = bytes.size() % kWord; tail != 0) add(words, tail);
+  // Fold the lanes and the length in a chain where each step is a
+  // bijection of the running value, so a change to any one lane (or to
+  // the length) changes the result.
+  std::uint64_t h = fmix64(static_cast<std::uint64_t>(bytes.size()));
+  for (const std::uint64_t l : lane) h = fmix64(h + l);
+  return h;
+}
+
 void pack_tensor(comm::Packer& p, const tensor::Tensor& t) {
   p.put<std::uint64_t>(t.rows());
   p.put<std::uint64_t>(t.cols());
@@ -91,17 +127,18 @@ void pack_tensor(comm::Packer& p, const tensor::Tensor& t) {
 tensor::Tensor unpack_tensor(comm::Unpacker& u) {
   const auto rows = u.get<std::uint64_t>();
   const auto cols = u.get<std::uint64_t>();
-  const auto data = u.get_vector<float>();
+  const auto data = u.get_view<float>();
+  const std::size_t floats = data.size() / sizeof(float);
   // Divide instead of multiplying rows * cols: a corrupted shape whose
   // product wraps past 2^64 must fail here, not reach the allocator.
-  const bool shape_ok = (rows == 0 || cols == 0)
-                            ? data.empty()
-                            : data.size() / rows == cols &&
-                                  data.size() % rows == 0;
+  const bool shape_ok =
+      (rows == 0 || cols == 0)
+          ? floats == 0
+          : floats / rows == cols && floats % rows == 0;
   DYNMO_CHECK(shape_ok, "tensor shape " << rows << "x" << cols << " != "
-                                        << data.size() << " floats");
+                                        << floats << " floats");
   tensor::Tensor t(rows, cols);
-  std::copy(data.begin(), data.end(), t.data().begin());
+  if (floats != 0) std::memcpy(t.data().data(), data.data(), data.size());
   return t;
 }
 
@@ -164,7 +201,7 @@ std::vector<std::byte> Checkpoint::serialize() const {
   }
 
   auto body = p.take();
-  const std::uint64_t checksum = buffer_checksum(body);
+  const std::uint64_t checksum = checkpoint_checksum(body);
   comm::Packer tail;
   tail.put(checksum);
   const auto tail_bytes = tail.take();
@@ -203,10 +240,10 @@ Checkpoint Checkpoint::deserialize(std::span<const std::byte> bytes) {
   while (!u.exhausted()) {
     const std::size_t field_off = u.pos();
     std::uint16_t raw_tag = 0;
-    std::vector<std::byte> payload;
+    std::span<const std::byte> payload;
     try {
       raw_tag = u.get<std::uint16_t>();
-      payload = u.get_vector<std::byte>();
+      payload = u.get_view<std::byte>();
     } catch (const Error&) {
       throw Error("checkpoint field frame truncated at stream offset " +
                   std::to_string(field_off) + " (" +
@@ -290,7 +327,7 @@ Checkpoint Checkpoint::deserialize(std::span<const std::byte> bytes) {
   {
     comm::Unpacker tail(bytes.subspan(body.size()));
     const auto stored = tail.get<std::uint64_t>();
-    const auto computed = buffer_checksum(body);
+    const auto computed = checkpoint_checksum(body);
     DYNMO_CHECK(stored == computed,
                 "checkpoint integrity checksum mismatch (stored 0x"
                     << std::hex << stored << ", computed 0x" << computed

@@ -26,6 +26,7 @@
 #include <cstdint>
 #include <map>
 #include <optional>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -45,6 +46,14 @@ enum class CheckpointField : std::uint16_t {
 };
 
 const char* to_string(CheckpointField f);
+
+/// The integrity checksum sealing a checkpoint stream (docs/RUNTIME.md
+/// "Checkpoint binary format"): a word-at-a-time sum over 4 lanes, where
+/// each 64-bit word is XORed with a key for its index and passed through
+/// a bijective finalizer, and the zero-padded tail and the length are
+/// folded in.  A corruption confined to one 8-byte word (so every
+/// single-bit flip) always changes it.
+std::uint64_t checkpoint_checksum(std::span<const std::byte> bytes);
 
 /// Layer index → weights, as the threaded runtime holds and ships them.
 using LayerTensors = std::map<std::uint64_t, tensor::Tensor>;
@@ -67,7 +76,9 @@ struct Checkpoint {
   static constexpr std::uint32_t kMagic = 0x44594e4d;  // "DYNM"
   /// v2: tagged [tag][size][payload] field framing (v1 was positional and
   /// is rejected — its streams carry no field boundaries to validate).
-  static constexpr std::uint32_t kVersion = 2;
+  /// v3: the trailer is checkpoint_checksum(); v2 streams, sealed with a
+  /// byte-at-a-time checksum, are rejected by their version.
+  static constexpr std::uint32_t kVersion = 3;
 
   std::int64_t iteration = 0;
   pipeline::StageMap stage_map;

@@ -1126,6 +1126,12 @@ double TrainingSession::step() {
     for (int s = 0; s < costs.num_stages(); ++s) {
       const double m = R.injector->multiplier(s, static_cast<int>(iter));
       if (m == 1.0) continue;
+      // A row still at one value per kind is divided once, and stays so.
+      if (const auto row = costs.row(s); row.mb_stride == 0) {
+        costs.set_stage(s, row.fwd(0) / m, row.bwd_input(0) / m,
+                        row.bwd_weight(0) / m);
+        continue;
+      }
       for (int mb = 0; mb < costs.num_microbatches(); ++mb) {
         costs.fwd(s, mb) /= m;
         costs.bwd_input(s, mb) /= m;

@@ -3,8 +3,6 @@
 #include <algorithm>
 #include <cmath>
 
-#include "core/thread_pool.hpp"
-
 namespace dynmo::tensor {
 
 CsrMatrix CsrMatrix::from_dense(const Tensor& dense, float abs_threshold) {
@@ -31,21 +29,18 @@ Tensor CsrMatrix::spmm_left(const Tensor& x) const {
                                      << x.rows() << 'x' << x.cols()
                                      << ", A is " << rows_ << 'x' << cols_);
   Tensor y(x.rows(), cols_);
-  ThreadPool::global().parallel_for(0, x.rows(), [&](std::size_t r0,
-                                                     std::size_t r1) {
-    for (std::size_t i = r0; i < r1; ++i) {
-      const auto xrow = x.row(i);
-      auto yrow = y.row(i);
-      for (std::size_t kk = 0; kk < rows_; ++kk) {
-        const float xik = xrow[kk];
-        if (xik == 0.0f) continue;
-        for (std::uint32_t p = row_offsets_[kk]; p < row_offsets_[kk + 1];
-             ++p) {
-          yrow[col_indices_[p]] += xik * values_[p];
-        }
+  for (std::size_t i = 0; i < x.rows(); ++i) {
+    const auto xrow = x.row(i);
+    auto yrow = y.row(i);
+    for (std::size_t kk = 0; kk < rows_; ++kk) {
+      const float xik = xrow[kk];
+      if (xik == 0.0f) continue;
+      for (std::uint32_t p = row_offsets_[kk]; p < row_offsets_[kk + 1];
+           ++p) {
+        yrow[col_indices_[p]] += xik * values_[p];
       }
     }
-  });
+  }
   return y;
 }
 

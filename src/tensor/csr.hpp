@@ -40,7 +40,7 @@ class CsrMatrix {
   }
 
   /// y = x * A where A is this (k x n) CSR matrix and x is (m x k) dense
-  /// (the Sputnik SpMM shape), multi-threaded over rows of x.
+  /// (the Sputnik SpMM shape), serial in the calling thread.
   Tensor spmm_left(const Tensor& x) const;
 
  private:

@@ -56,7 +56,8 @@ class Tensor {
   std::vector<float> data_;
 };
 
-/// C = A * B (row-major), multi-threaded over rows of A.
+/// C = A * B (row-major), serial in the calling thread: the threaded
+/// runtime calls it from its pipeline workers, which already use the cores.
 Tensor matmul(const Tensor& a, const Tensor& b);
 
 /// In-place ReLU.

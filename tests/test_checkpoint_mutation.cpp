@@ -4,10 +4,10 @@
 // a checkpoint that is structurally sound — never a crash, an unbounded
 // allocation, or a checkpoint that silently dropped or invented data.
 //
-// Every mutation re-seals the stream with a test-side copy of the
-// checkpoint checksum, so it reaches the structural checks instead of
-// stopping at the integrity trailer.  The fixed regressions below are the
-// malformed-but-checksummed streams the reader used to accept.
+// Every mutation re-seals the stream with runtime::checkpoint_checksum, so
+// it reaches the structural checks instead of stopping at the integrity
+// trailer.  The fixed regressions below are the malformed-but-checksummed
+// streams the reader used to accept.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -35,18 +35,9 @@ constexpr std::size_t kFrameHeadBytes =
     sizeof(std::uint16_t) + sizeof(std::uint64_t);
 constexpr std::size_t kLayerStateBytes = 5 * sizeof(double) + 2;
 
-/// Test-side copy of the checkpoint's integrity checksum.
-std::uint64_t checksum(std::span<const std::byte> body) {
-  std::uint64_t h = 0x9e3779b97f4a7c15ULL;
-  for (std::size_t i = 0; i < body.size(); ++i) {
-    h = hash_mix(h, static_cast<std::uint8_t>(body[i]), i);
-  }
-  return h;
-}
-
 /// `body` followed by its checksum: a stream whose integrity check passes.
 Bytes seal(Bytes body) {
-  const std::uint64_t h = checksum(body);
+  const std::uint64_t h = runtime::checkpoint_checksum(body);
   const auto* p = reinterpret_cast<const std::byte*>(&h);
   body.insert(body.end(), p, p + sizeof(h));
   return body;
@@ -149,13 +140,46 @@ void expect_error_naming(const Bytes& bytes, const std::string& needle,
   }
 }
 
-TEST(CheckpointMutation, TestChecksumMatchesTheWriter) {
+TEST(CheckpointMutation, SealMatchesTheWriter) {
   const Bytes clean = sample_checkpoint().serialize();
   const Bytes body(clean.begin(), clean.end() - sizeof(std::uint64_t));
   ASSERT_EQ(seal(body), clean);
   ASSERT_EQ(Stream(clean).frames.size(), 4u);
   ASSERT_EQ(seal(Stream(clean).body()), clean);
   EXPECT_EQ(Checkpoint::deserialize(clean), sample_checkpoint());
+}
+
+TEST(CheckpointMutation, EverySingleBitFlipIsRejected) {
+  // The checksum catches any change confined to one 8-byte word; a flip in
+  // the trailer itself mismatches the body's checksum.
+  const Bytes clean = sample_checkpoint().serialize();
+  for (std::size_t bit = 0; bit < clean.size() * 8; ++bit) {
+    Bytes bytes = clean;
+    bytes[bit / 8] ^= std::byte{1} << (bit % 8);
+    EXPECT_THROW((void)Checkpoint::deserialize(bytes), Error)
+        << "bit " << bit % 8 << " of byte " << bit / 8;
+  }
+}
+
+TEST(CheckpointMutation, ChecksumCoversLengthAndTail) {
+  // Appending a zero byte leaves the zero-padded tail word as it was;
+  // only the folded-in length tells the two apart.
+  Bytes body(13, std::byte{0});
+  const std::uint64_t h = runtime::checkpoint_checksum(body);
+  body.push_back(std::byte{0});
+  EXPECT_NE(runtime::checkpoint_checksum(body), h);
+}
+
+TEST(CheckpointMutation, VersionTwoStreamIsRejected) {
+  // A version-2 stream (byte-wise checksum) fails on its version, before
+  // any field or the trailer is read.
+  static_assert(Checkpoint::kVersion == 3);
+  Bytes bytes = sample_checkpoint().serialize();
+  const std::uint32_t v2 = 2;
+  std::memcpy(bytes.data() + sizeof(std::uint32_t), &v2, sizeof(v2));
+  bytes.resize(bytes.size() - sizeof(std::uint64_t));
+  expect_error_naming(seal(std::move(bytes)), "version 2",
+                      [] { return "version 2"; });
 }
 
 // ------------------------------------------------------ fixed regressions

@@ -4,6 +4,9 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstdint>
+#include <cstring>
+#include <limits>
 
 #include "core/rng.hpp"
 #include "tensor/csr.hpp"
@@ -41,6 +44,30 @@ Tensor naive_matmul(const Tensor& a, const Tensor& b) {
     }
   }
   return c;
+}
+
+/// The i-k-j loop matmul ran before it was tiled: every C element adds its
+/// a_ik * b_kj terms in k order, skipping a_ik == 0.  The tiled kernel
+/// must match it bit for bit.
+Tensor ikj_matmul(const Tensor& a, const Tensor& b) {
+  Tensor c(a.rows(), b.cols());
+  for (std::size_t i = 0; i < a.rows(); ++i) {
+    const auto arow = a.row(i);
+    auto crow = c.row(i);
+    for (std::size_t kk = 0; kk < a.cols(); ++kk) {
+      const float aik = arow[kk];
+      if (aik == 0.0f) continue;
+      const auto brow = b.row(kk);
+      for (std::size_t j = 0; j < b.cols(); ++j) crow[j] += aik * brow[j];
+    }
+  }
+  return c;
+}
+
+std::uint32_t bits(float x) {
+  std::uint32_t u = 0;
+  std::memcpy(&u, &x, sizeof(u));
+  return u;
 }
 
 TEST(Tensor, ShapeAndFill) {
@@ -83,6 +110,70 @@ INSTANTIATE_TEST_SUITE_P(
     ::testing::Values(std::tuple{1, 1, 1}, std::tuple{2, 3, 4},
                       std::tuple{8, 8, 8}, std::tuple{17, 5, 9},
                       std::tuple{64, 32, 16}, std::tuple{1, 64, 1}));
+
+/// The NaN this machine's arithmetic produces (inf - inf).  Which of two
+/// different NaN operands an add returns is unspecified (it depends on
+/// the compiler's operand order), so B's NaNs use this one pattern: then
+/// every NaN in the product has the same bits and C compares exactly.
+float default_nan() {
+  volatile float inf = std::numeric_limits<float>::infinity();
+  return inf - inf;
+}
+
+/// A (rows x k) with about a third of its entries +0 or -0.  With
+/// `specials`, B (k x n) also has a few +inf, -inf and NaN entries: a zero
+/// a_ik that multiplied them would turn its C element to NaN, so the
+/// outputs pin the zero-skip.  Without, every C element is finite.
+void expect_matches_ikj(std::size_t rows, std::size_t k, std::size_t n,
+                        std::uint64_t seed, bool specials) {
+  SCOPED_TRACE(::testing::Message() << rows << "x" << k << " * " << k << "x"
+                                    << n << ", seed " << seed
+                                    << (specials ? ", inf/NaN in B" : ""));
+  Rng rng(seed);
+  Tensor a = Tensor::random(rows, k, rng);
+  Tensor b = Tensor::random(k, n, rng);
+  constexpr float kInf = std::numeric_limits<float>::infinity();
+  const float nan = default_nan();
+  for (float& v : a.data()) {
+    const double u = rng.uniform();
+    if (u < 0.15) v = 0.0f;
+    else if (u < 0.3) v = -0.0f;
+  }
+  for (float& v : b.data()) {
+    const double u = specials ? rng.uniform() : 1.0;
+    if (u < 0.01) v = kInf;
+    else if (u < 0.02) v = -kInf;
+    else if (u < 0.03) v = nan;
+  }
+  const Tensor got = matmul(a, b);
+  const Tensor want = ikj_matmul(a, b);
+  ASSERT_TRUE(got.same_shape(want));
+  for (std::size_t i = 0; i < got.size(); ++i) {
+    ASSERT_EQ(bits(got.data()[i]), bits(want.data()[i]))
+        << "C[" << i / n << "][" << i % n << "]";
+  }
+}
+
+TEST(Tensor, MatmulIsBitIdenticalToTheIkjLoop) {
+  // The threaded runtime's layer shape, strips narrower than, equal to,
+  // and not a multiple of 64 columns, and every empty dimension.
+  const std::size_t shapes[][3] = {
+      {16, 128, 128}, {3, 7, 5},  {2, 9, 63}, {2, 9, 64}, {2, 9, 65},
+      {4, 33, 130},   {1, 1, 1},  {0, 4, 4},  {4, 0, 4},  {4, 4, 0},
+      {0, 0, 0}};
+  std::uint64_t seed = 1;
+  for (const bool specials : {false, true}) {
+    for (const auto& s : shapes) {
+      expect_matches_ikj(s[0], s[1], s[2], seed++, specials);
+    }
+  }
+  // Seeded shapes.
+  Rng shape_rng(2024);
+  for (int t = 0; t < 200; ++t) {
+    expect_matches_ikj(shape_rng.uniform_int(7), shape_rng.uniform_int(81),
+                       shape_rng.uniform_int(201), seed++, t % 2 == 1);
+  }
+}
 
 TEST(Tensor, MatmulShapeMismatchThrows) {
   Tensor a(2, 3), b(4, 2);
