@@ -1,17 +1,14 @@
 // Micro-benchmarks (google-benchmark) for the real compute kernels: dense
-// matmul, CSR SpMM at several densities, top-k selection, and CSR
-// compression — the building blocks of the threaded runtime and the
-// distributed pruning path.
+// matmul and top-k selection — the building blocks of the threaded runtime
+// and the distributed pruning path.
 #include <benchmark/benchmark.h>
 
 #include "core/rng.hpp"
-#include "tensor/csr.hpp"
 #include "tensor/tensor.hpp"
 
 namespace {
 
 using dynmo::Rng;
-using dynmo::tensor::CsrMatrix;
 using dynmo::tensor::Tensor;
 
 void BM_Matmul(benchmark::State& state) {
@@ -28,24 +25,6 @@ void BM_Matmul(benchmark::State& state) {
 }
 BENCHMARK(BM_Matmul)->Arg(64)->Arg(128)->Arg(256);
 
-void BM_SpmmByDensity(benchmark::State& state) {
-  const std::size_t n = 256;
-  const double keep_prob = static_cast<double>(state.range(0)) / 100.0;
-  Rng rng(2);
-  Tensor w = Tensor::random(n, n, rng);
-  // Zero out (1-keep_prob) of entries.
-  for (float& v : w.data()) {
-    if (rng.uniform() > keep_prob) v = 0.0f;
-  }
-  const CsrMatrix csr = CsrMatrix::from_dense(w, 1e-12f);
-  const Tensor x = Tensor::random(64, n, rng);
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(csr.spmm_left(x));
-  }
-  state.counters["density"] = csr.density();
-}
-BENCHMARK(BM_SpmmByDensity)->Arg(100)->Arg(50)->Arg(25)->Arg(10)->Arg(1);
-
 void BM_TopK(benchmark::State& state) {
   const auto n = static_cast<std::size_t>(state.range(0));
   Rng rng(3);
@@ -56,16 +35,6 @@ void BM_TopK(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_TopK)->Arg(1 << 12)->Arg(1 << 16)->Arg(1 << 20);
-
-void BM_CsrCompress(benchmark::State& state) {
-  const std::size_t n = 512;
-  Rng rng(4);
-  const Tensor w = Tensor::random(n, n, rng);
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(CsrMatrix::from_dense(w, 1.0f));
-  }
-}
-BENCHMARK(BM_CsrCompress);
 
 }  // namespace
 

@@ -63,22 +63,6 @@ std::size_t MaxTree::memory_bytes() const {
          idx_.capacity() * sizeof(std::uint32_t);
 }
 
-double MaxTree::max_value_full_rescan() const {
-  DYNMO_CHECK(n_ > 0, "max of empty MaxTree");
-  return *std::max_element(val_.begin() + static_cast<std::ptrdiff_t>(cap_),
-                           val_.begin() +
-                               static_cast<std::ptrdiff_t>(cap_ + n_));
-}
-
-std::size_t MaxTree::argmax_full_rescan() const {
-  DYNMO_CHECK(n_ > 0, "argmax of empty MaxTree");
-  const auto first = val_.begin() + static_cast<std::ptrdiff_t>(cap_);
-  return static_cast<std::size_t>(
-      std::max_element(first,
-                       val_.begin() + static_cast<std::ptrdiff_t>(cap_ + n_)) -
-      first);
-}
-
 // --------------------------------------------------------- CostSurface
 
 double CostSurface::norm_w(std::size_t s) const {

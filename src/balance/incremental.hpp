@@ -31,9 +31,10 @@
 //      full diff; it merely skips the layers provably outside any
 //      boundary-difference interval (an integer argument, no FP involved).
 //
-// Every surface ships a *_full_rescan() reference twin, kept alive under
-// test: tests/test_incremental_cost.cpp drives randomized perturbation
-// streams through both paths and asserts exact (EXPECT_EQ) equality.
+// Every surface ships a *_full_rescan() reference twin (MaxTree's live in
+// tests/cost_oracles.hpp), kept alive under test:
+// tests/test_incremental_cost.cpp drives randomized perturbation streams
+// through both paths and asserts exact (EXPECT_EQ) equality.
 #pragma once
 
 #include <cstddef>
@@ -68,11 +69,6 @@ class MaxTree {
   bool empty() const { return n_ == 0; }
   /// Heap footprint of the tree's arrays (near-linear-memory gate).
   std::size_t memory_bytes() const;
-
-  /// Reference twin: linear scan with std::max_element, kept alive so the
-  /// differential suite can oracle-check the root after every update.
-  double max_value_full_rescan() const;
-  std::size_t argmax_full_rescan() const;
 
  private:
   void pull(std::size_t node);

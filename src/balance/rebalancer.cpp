@@ -7,6 +7,20 @@
 
 namespace dynmo::balance {
 
+namespace {
+
+/// Profiling cost charged per rebalance (timer reads + CUDA memory stats
+/// query), seconds per layer and per worker.
+constexpr double kProfileCostPerLayerS = 2e-6;
+constexpr double kProfileCostPerWorkerS = 10e-6;
+
+double profile_cost_s(std::size_t layers, int stages) {
+  return kProfileCostPerLayerS * static_cast<double>(layers) +
+         kProfileCostPerWorkerS * static_cast<double>(stages);
+}
+
+}  // namespace
+
 const char* to_string(Algorithm a) {
   switch (a) {
     case Algorithm::Partition: return "partition";
@@ -109,10 +123,7 @@ RebalanceOutcome Rebalancer::rebalance_full_rescan(
     }
   }
 
-  out.overhead.profile_s =
-      cfg_.profile_cost_per_layer_s *
-          static_cast<double>(profile.num_layers()) +
-      cfg_.profile_cost_per_worker_s * static_cast<double>(S);
+  out.overhead.profile_s = profile_cost_s(profile.num_layers(), S);
 
   out.migration =
       out.decision == MapDecision::Accepted ? candidate : MigrationPlan{};
@@ -216,10 +227,7 @@ RebalanceOutcome Rebalancer::rebalance_incremental(
     }
   }
 
-  out.overhead.profile_s =
-      cfg_.profile_cost_per_layer_s *
-          static_cast<double>(profile.num_layers()) +
-      cfg_.profile_cost_per_worker_s * static_cast<double>(S);
+  out.overhead.profile_s = profile_cost_s(profile.num_layers(), S);
 
   out.migration =
       out.decision == MapDecision::Accepted ? ev.plan : MigrationPlan{};

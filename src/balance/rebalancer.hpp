@@ -54,10 +54,6 @@ struct RebalanceConfig {
   BalanceBy by = BalanceBy::Time;
   double mem_capacity = 0.0;  ///< per-worker bytes; <=0 → unconstrained
   double gamma = 0.0;         ///< diffusion threshold; <=0 → auto
-  /// Per-layer profiling cost charged per rebalance (timer reads + CUDA
-  /// memory stats query), seconds.
-  double profile_cost_per_layer_s = 2e-6;
-  double profile_cost_per_worker_s = 10e-6;
   /// Hysteresis: keep the current map unless the new one improves the
   /// projected bottleneck by at least this fraction.  Prevents migration
   /// churn from chasing profiling noise at every-iteration cadences.

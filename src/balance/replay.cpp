@@ -43,7 +43,7 @@ ReplayResult replay(const ReplayedLoads& loads, const ReplayConfig& cfg,
       profile.time_s = frame.layer_time_s;
       profile.memory_bytes = frame.layer_memory_bytes;
       profile.params = cfg.params.empty() ? zero_params : cfg.params;
-      if (cfg.measurement_noise) add_measurement_noise(profile, noise_rng);
+      add_measurement_noise(profile, noise_rng);
 
       const auto outcome = rebalancer.rebalance(profile, map);
       map = outcome.map;

@@ -59,10 +59,9 @@ struct ReplayConfig {
   std::int64_t rebalance_interval = 1;
   /// Per-layer parameter counts for BalanceBy::Param; empty → zeros.
   std::vector<double> params{};
-  /// Re-apply the session's profiling measurement noise from this seed so
-  /// the balancers see byte-identical profiles.  The session derives its
-  /// noise stream from SessionConfig::seed the same way.
-  bool measurement_noise = true;
+  /// Seed of the session's profiling measurement noise, which the replay
+  /// re-applies so the balancers see byte-identical profiles.  The session
+  /// derives its noise stream from SessionConfig::seed the same way.
   std::uint64_t seed = 0x5eed;
 };
 

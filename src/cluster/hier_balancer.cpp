@@ -12,6 +12,18 @@ namespace dynmo::cluster {
 
 namespace {
 
+/// Enter the inter-node level only when the imbalance of the
+/// capacity-normalized *node totals* — the gap intra-node moves cannot
+/// close by construction — exceeds this ((max−min)/mean, Eq. 2).
+constexpr double kInterNodeTrigger = 0.05;
+/// Adopt the inter-node result only when it improves the
+/// capacity-normalized bottleneck over the intra-only map by at least this
+/// fraction.  Inter-node moves ride the fabric, so they must pay for
+/// themselves; without this guard an every-iteration cadence chases
+/// node-total noise across InfiniBand (churn flat diffusion's local moves
+/// never exhibit).
+constexpr double kInterNodeGain = 0.05;
+
 /// A maximal run of consecutive stages hosted by one node.
 struct StageGroup {
   int node = 0;
@@ -103,13 +115,14 @@ HierResult HierarchicalBalancer::balance(
               "stage_to_rank covers " << stage_to_rank.size()
                                       << " stages, map has " << S);
 
-  // Per-stage capacity: request override > topology speeds > uniform.
+  // Per-stage capacity: the request's override, else the ranks' GPU
+  // throughput relative to the fastest.
   std::vector<double> cap(static_cast<std::size_t>(S), 1.0);
   if (!req.capacities.empty()) {
     DYNMO_CHECK(req.capacities.size() == static_cast<std::size_t>(S),
                 "capacity vector size mismatch");
     cap = req.capacities;
-  } else if (cfg_.capacity_aware) {
+  } else {
     double max_speed = 0.0;
     for (int s = 0; s < S; ++s) {
       max_speed = std::max(
@@ -233,7 +246,7 @@ HierResult HierarchicalBalancer::balance(
     return load_imbalance(node_x);
   }();
 
-  if (groups.size() > 1 && node_gap > cfg_.inter_node_trigger) {
+  if (groups.size() > 1 && node_gap > kInterNodeTrigger) {
     // Level 2: same protocol, one super-stage per node, capacity = the
     // node's aggregate throughput.  Only the node-boundary cuts move.
     balance::DiffusionRequest super;
@@ -322,7 +335,7 @@ HierResult HierarchicalBalancer::balance(
     // to re-evaluating at each use).
     const double nb_intra = normalized_bottleneck(map);
     const double nb_inter = normalized_bottleneck(inter_map);
-    if (nb_inter < nb_intra * (1.0 - cfg_.inter_node_gain)) {
+    if (nb_inter < nb_intra * (1.0 - kInterNodeGain)) {
       // Payoff window: the inter map's bottleneck gain (per iteration, in
       // the weights' units — seconds under time balancing) must also cover
       // the *extra* exposed transfer cost it pays over the intra-only map,

@@ -28,20 +28,6 @@
 namespace dynmo::cluster {
 
 struct HierConfig {
-  /// Enter the inter-node level only when the imbalance of the
-  /// capacity-normalized *node totals* — the gap intra-node moves cannot
-  /// close by construction — exceeds this ((max−min)/mean, Eq. 2).
-  double inter_node_trigger = 0.05;
-  /// Adopt the inter-node result only when it improves the
-  /// capacity-normalized bottleneck over the intra-only map by at least
-  /// this fraction.  Inter-node moves ride the fabric, so they must pay
-  /// for themselves; without this guard an every-iteration cadence chases
-  /// node-total noise across InfiniBand (churn flat diffusion's local
-  /// moves never exhibit).
-  double inter_node_gain = 0.05;
-  /// Normalize stage loads by each rank's GPU throughput (heterogeneous
-  /// clusters); request-supplied capacities override this.
-  bool capacity_aware = true;
   /// Payoff-window acceptance for the inter-node level: adopt the level-2
   /// map only when its capacity-normalized bottleneck gain over the
   /// intra-only map, times this many iterations, covers the *extra*
@@ -83,7 +69,7 @@ class HierarchicalBalancer {
       : topo_(&topo), cfg_(cfg) {}
 
   /// `req.capacities`, when set, gives per-stage speeds; otherwise they are
-  /// derived from the topology (or uniform if !cfg.capacity_aware).
+  /// derived from the topology.
   /// `stage_to_rank` defaults to stage s → rank s.
   HierResult balance(const balance::DiffusionRequest& req,
                      const pipeline::StageMap& start,

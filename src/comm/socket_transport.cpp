@@ -3,6 +3,7 @@
 #include <sys/socket.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <cerrno>
 #include <cstdint>
 #include <cstring>
@@ -24,9 +25,10 @@ struct FrameHeader {
 };
 static_assert(sizeof(FrameHeader) == 24, "frame header is 24 bytes on wire");
 
-/// Largest payload a frame may announce.  The reader allocates before it
-/// reads, so an unchecked corrupt length would be an allocation bomb.
+/// Largest payload a frame may announce.
 constexpr std::uint64_t kMaxFramePayload = std::uint64_t{1} << 30;  // 1 GiB
+/// How far the reader grows a payload buffer ahead of the bytes read.
+constexpr std::size_t kPayloadChunk = std::size_t{1} << 16;  // 64 KiB
 
 /// Write exactly `len` bytes.  Returns false if the peer is gone (EPIPE /
 /// ECONNRESET / shutdown descriptor) — the send contract is to drop, not
@@ -56,6 +58,20 @@ bool read_full(int fd, std::byte* buf, std::size_t len) {
     if (n == 0) return false;  // orderly EOF
     buf += n;
     len -= static_cast<std::size_t>(n);
+  }
+  return true;
+}
+
+/// Read a `len`-byte payload into `buf` one chunk at a time, so a corrupt
+/// length costs a wait for bytes, never an allocation of the announced
+/// size.  Returns false on EOF or error, like read_full.
+bool read_payload(int fd, std::vector<std::byte>& buf, std::uint64_t len) {
+  while (buf.size() < len) {
+    const std::size_t have = buf.size();
+    const auto n = static_cast<std::size_t>(
+        std::min<std::uint64_t>(kPayloadChunk, len - have));
+    buf.resize(have + n);
+    if (!read_full(fd, buf.data() + have, n)) return false;
   }
   return true;
 }
@@ -115,8 +131,7 @@ void SocketTransport::reader_main(int self) {
     msg.source = h.source;
     msg.context = h.context;
     msg.tag = h.tag;
-    msg.payload.resize(h.payload_len);
-    if (!read_full(ep.recv_fd, msg.payload.data(), msg.payload.size())) break;
+    if (!read_payload(ep.recv_fd, msg.payload, h.payload_len)) break;
     ep.inbox.deliver(std::move(msg));
   }
   // Reader exit == endpoint closed: release any blocked receiver with

@@ -7,8 +7,8 @@
 //      candidate counts differ per rank and other ranks lack the size
 //      information an alltoallv would need, §4),
 //   3. rank 0 computes the global top-k among candidates,
-//   4. each rank receives back the flat indices it must keep and compresses
-//      its shard (CSR via tensor::CsrMatrix, or in-place zeroing).
+//   4. each rank receives back the flat indices it must keep and zeroes
+//      every other parameter of its shard in place.
 //
 // Correctness property (tested): the surviving set equals what a single
 // process computing top-k over the concatenation of all shards would keep.

@@ -105,61 +105,18 @@ ContiguousRepackResult repack_contiguous(const ContiguousRepackRequest& req,
   return out;
 }
 
-ContiguousRepackResult repack_contiguous(const ContiguousRepackRequest& req,
-                                         int num_workers,
-                                         const cluster::Deployment& deployment) {
-  DYNMO_CHECK(num_workers <= deployment.num_stages(),
-              num_workers << " workers but the deployment has "
-                          << deployment.num_stages() << " stages");
-  // Worker w → node hosting deployment stage w.
-  std::vector<int> node_of(static_cast<std::size_t>(num_workers));
-  for (int w = 0; w < num_workers; ++w) {
-    node_of[static_cast<std::size_t>(w)] = deployment.node(w);
-  }
-  ContiguousRepackResult res = repack_contiguous(req, num_workers);
-
-  const auto count_freed = [&](int active) {
-    // A node is newly freed when it hosts workers only in [active,
-    // num_workers) — workers at or beyond num_workers were free already.
-    int freed = 0;
-    std::vector<int> nodes(node_of.begin(), node_of.end());
-    std::sort(nodes.begin(), nodes.end());
-    nodes.erase(std::unique(nodes.begin(), nodes.end()), nodes.end());
-    for (int n : nodes) {
-      bool any_released = false;
-      bool any_kept = false;
-      for (int w = 0; w < num_workers; ++w) {
-        if (node_of[static_cast<std::size_t>(w)] != n) continue;
-        (w >= active ? any_released : any_kept) = true;
-      }
-      if (any_released && !any_kept) ++freed;
-    }
-    return freed;
-  };
-
-  // An explicit target is a contract (forced Fig-4 sweeps): deliver it
-  // exactly; snapping only applies when the packer chose the count.
-  if (!res.feasible || res.active_workers >= num_workers ||
-      req.target_workers > 0) {
-    res.whole_nodes_freed = count_freed(res.active_workers);
-    return res;
-  }
-
-  // Snap the survivor count up to the next node boundary (the first worker
-  // of each node's contiguous run), provided a whole node is still freed.
-  int snapped = res.active_workers;
-  while (snapped < num_workers &&
-         node_of[static_cast<std::size_t>(snapped)] ==
-             node_of[static_cast<std::size_t>(snapped - 1)]) {
+int node_aligned_workers(const cluster::Deployment& deployment, int survivors,
+                         int workers) {
+  DYNMO_CHECK(survivors > 0 && workers <= deployment.num_stages(),
+              "cannot align " << survivors << " of " << workers
+                              << " workers on a deployment of "
+                              << deployment.num_stages() << " stages");
+  int snapped = survivors;
+  while (snapped < workers &&
+         deployment.node(snapped) == deployment.node(snapped - 1)) {
     ++snapped;
   }
-  if (snapped != res.active_workers && count_freed(snapped) > 0) {
-    ContiguousRepackRequest spread = req;
-    spread.target_workers = snapped;
-    res = repack_contiguous(spread, num_workers);
-  }
-  res.whole_nodes_freed = count_freed(res.active_workers);
-  return res;
+  return snapped < workers ? snapped : survivors;
 }
 
 }  // namespace dynmo::repack

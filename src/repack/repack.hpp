@@ -11,10 +11,11 @@
 //    stages must stay contiguous in model order), leaving released trailing
 //    workers with empty stages.
 //
-// repack_contiguous() has a cluster::Deployment-aware overload that prefers
-// vacating *whole nodes*: a fully emptied node can be handed back to the
-// job manager as a schedulable unit, and the survivors stay NVLink-adjacent
-// instead of straddling a half-empty node.
+// On a multi-node cluster::Deployment, node_aligned_workers() snaps a
+// survivor count the runtime chose itself up to a node boundary, so the
+// release vacates *whole nodes*: a fully emptied node can be handed back to
+// the job manager as a schedulable unit, and the survivors stay
+// NVLink-adjacent instead of straddling a half-empty node.
 #pragma once
 
 #include <span>
@@ -58,7 +59,6 @@ struct ContiguousRepackResult {
   pipeline::StageMap map;   ///< same stage count; trailing stages empty
   int active_workers = 0;
   bool feasible = true;     ///< false if even all workers cannot hold it
-  int whole_nodes_freed = 0;  ///< deployment overload: nodes fully vacated
 };
 
 /// Pack layers (in model order) into the fewest prefix workers whose memory
@@ -68,16 +68,14 @@ struct ContiguousRepackResult {
 ContiguousRepackResult repack_contiguous(const ContiguousRepackRequest& req,
                                          int num_workers);
 
-/// Node-aware variant: worker w is deployment stage w (stages hosted by one
-/// node are contiguous under cluster placements).  When the packer chooses
-/// the survivor count (`target_workers` <= 0), it is snapped *up* to the
-/// deployment's next node boundary whenever the release still frees at
-/// least one whole node — keeping a node's tail workers busy costs a few
-/// GPUs but turns the release into whole schedulable nodes; when no whole
-/// node can be freed the memory-minimal pack is kept as-is (a partial
-/// release beats none).  An explicit `target_workers` is honored exactly.
-ContiguousRepackResult repack_contiguous(const ContiguousRepackRequest& req,
-                                         int num_workers,
-                                         const cluster::Deployment& deployment);
+/// The survivor count for shrinking `workers` down to `survivors`, where
+/// worker w is deployment stage w (one node's stages are contiguous under
+/// cluster::place_* placements): snapped *up* to the next node boundary
+/// when that still frees at least one whole node — a few idle GPUs buy a
+/// release of whole schedulable nodes — else `survivors` itself (a partial
+/// release beats none).  Only for a count the caller chose: an explicit
+/// target is a contract.
+int node_aligned_workers(const cluster::Deployment& deployment, int survivors,
+                         int workers);
 
 }  // namespace dynmo::repack

@@ -10,6 +10,11 @@
 
 namespace dynmo::runtime {
 
+/// Reference payload of one communicator-bootstrap exchange (the NCCL
+/// unique-id / ring-handshake analogue), priced over the new group's worst
+/// inter-node link per binomial step.
+constexpr std::size_t kBootstrapBytes = 1u << 20;
+
 const char* to_string(ElasticAction a) {
   switch (a) {
     case ElasticAction::Hold: return "hold";
@@ -65,7 +70,7 @@ RestartStall ElasticController::restart_stall(
   stall.bootstrap_s =
       static_cast<double>(steps) *
       (link.alpha_s +
-       static_cast<double>(cfg_.bootstrap_bytes) / link.beta_bytes_s);
+       static_cast<double>(kBootstrapBytes) / link.beta_bytes_s);
   return stall;
 }
 

@@ -70,10 +70,6 @@ struct ElasticConfig {
   // --- restart stall model (docs/COST_MODEL.md "Restart-stall pricing") --
   /// Job-manager round-trip + process respawn, once per restart.
   double restart_alpha_s = 2.0;
-  /// Reference payload of one communicator-bootstrap exchange (the NCCL
-  /// unique-id / ring-handshake analogue), priced over the new group's
-  /// worst inter-node link per binomial step.
-  std::size_t bootstrap_bytes = 1u << 20;
   /// Per-worker checkpoint shard write/read bandwidth (parallel FS).
   double checkpoint_bw = 4.0 * 1024.0 * 1024.0 * 1024.0;
 

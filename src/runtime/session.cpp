@@ -17,6 +17,9 @@ namespace dynmo::runtime {
 
 namespace {
 
+/// Fraction of the DP gradient allreduce hidden under backward compute.
+constexpr double kDpOverlap = 0.7;
+
 /// Validate the session's Deployment against the configured DP×PP shape.
 std::optional<cluster::Deployment> resolve_deployment(
     const SessionConfig& cfg) {
@@ -288,7 +291,7 @@ TrainingSession::DpAllreduceCost TrainingSession::dp_allreduce_cost(
     cost.intra_bytes += split.intra_node;
     cost.inter_bytes += split.inter_node;
   }
-  cost.exposed_s = worst_s * (1.0 - std::clamp(cfg_.dp_overlap, 0.0, 1.0));
+  cost.exposed_s = worst_s * (1.0 - kDpOverlap);
   return cost;
 }
 
@@ -429,10 +432,7 @@ repack::ContiguousRepackResult TrainingSession::pack(
   req.memory_bytes.assign(mem.begin(), mem.end());
   req.mem_capacity = run_->mem_capacity;
   req.target_workers = target;
-  // Deployment-aware packing prefers vacating whole nodes when it picks
-  // the count itself (target 0); an explicit target is honored exactly.
-  return deployment_ ? repack::repack_contiguous(req, stages, *deployment_)
-                     : repack::repack_contiguous(req, stages);
+  return repack::repack_contiguous(req, stages);
 }
 
 void TrainingSession::emit_transition(const char* kind, bool accepted,
@@ -1025,20 +1025,21 @@ double TrainingSession::step() {
         target = std::min(R.active,
                           balance::PartitionBalancer::min_stages(
                               profile.time_s, ref_bottleneck * kTolerance));
-        // Policy-derived target on a deployment: release whole nodes —
-        // snap up to the next node boundary (keeping extra workers can
-        // only help the bottleneck) unless that cancels the release.
+        // On a deployment, release whole nodes (keeping extra workers can
+        // only help the bottleneck).
         if (deployment_) {
-          int snapped = target;
-          while (snapped < R.active &&
-                 deployment_->node(snapped) ==
-                     deployment_->node(snapped - 1)) {
-            ++snapped;
-          }
-          if (snapped < R.active) target = snapped;
+          target =
+              repack::node_aligned_workers(*deployment_, target, R.active);
         }
       }
-      const auto rp = pack(mem, target, R.active);
+      auto rp = pack(mem, target, R.active);
+      if (target <= 0 && deployment_ && rp.feasible) {
+        // MemoryFirstFit chose the memory-minimal count: align it the same
+        // way and re-pack at the aligned count.
+        const int aligned = repack::node_aligned_workers(
+            *deployment_, rp.active_workers, R.active);
+        if (aligned != rp.active_workers) rp = pack(mem, aligned, R.active);
+      }
       if (!rp.feasible && cfg_.repack_target_workers > 0) {
         res.oom = true;  // forced pack does not fit (Fig. 4 OOM cells)
       } else if (rp.feasible && rp.active_workers < R.active) {

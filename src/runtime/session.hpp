@@ -121,8 +121,9 @@ struct SessionConfig {
   ///   capacity allows, accepting slower iterations (Fig. 4 sweeps).
   enum class RepackPolicy { ThroughputPreserving, MemoryFirstFit };
   RepackPolicy repack_policy = RepackPolicy::ThroughputPreserving;
-  /// 0 → policy decides; otherwise pack to exactly this many workers
-  /// (Fig. 4 sweeps 8/6/4/2).
+  /// 0 → policy decides (on a `deployment`, snapped up to a node boundary
+  /// by repack::node_aligned_workers); otherwise pack to exactly this many
+  /// workers (Fig. 4 sweeps 8/6/4/2).
   int repack_target_workers = 0;
   std::int64_t repack_interval = 1000;
 
@@ -155,9 +156,6 @@ struct SessionConfig {
   /// 10k-iteration runs are steady-state; stride must divide the dynamism
   /// cadence to not skip dynamism points).
   std::int64_t sim_stride = 1;
-
-  /// Fraction of the DP gradient allreduce hidden under backward compute.
-  double dp_overlap = 0.7;
 
   /// Fraction of layer-migration time hidden under backward compute when
   /// rebalancing every iteration (the paper couples migration with the

@@ -22,6 +22,10 @@ namespace {
 
 using Clock = std::chrono::steady_clock;
 
+/// Learning rate of the tiny SGD step (`ThreadedConfig::apply_weight_update`):
+/// each backward scales a layer's weights by 1 − lr.
+constexpr double kLearningRate = 1e-3;
+
 /// Wall seconds since `t0`: the runtime's measured times (busy, iteration,
 /// stall), which its catalog declares "deterministic": false.
 double seconds_since(Clock::time_point t0) {
@@ -788,8 +792,7 @@ ThreadedReport ThreadedPipeline::run(const std::vector<PlanPhase>& phases) {
               g = tensor::matmul(g, weights.at(l));
               if (cfg.apply_weight_update) {
                 auto w = weights.at(l).data();
-                const auto decay =
-                    static_cast<float>(1.0 - cfg.learning_rate);
+                constexpr auto decay = static_cast<float>(1.0 - kLearningRate);
                 for (float& v : w) v *= decay;
               }
             }

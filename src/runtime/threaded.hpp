@@ -36,7 +36,6 @@ struct ThreadedConfig {
   std::size_t batch_rows = 4;     ///< microbatch activation rows
   int microbatches = 4;
   bool apply_weight_update = false;  ///< tiny SGD step per backward
-  double learning_rate = 1e-3;
   std::uint64_t seed = 0x5eed;
   /// Which comm backend carries every activation, gradient, migration,
   /// checkpoint, and heartbeat-era control message (docs/TRANSPORT.md).

@@ -1,8 +1,8 @@
 // Minimal owning dense matrix/vector types.
 //
 // These are *real* tensors (not cost-model stand-ins): the threaded runtime
-// executes small GEMMs through them, distributed global pruning compresses
-// them into CSR, and layer migration moves their buffers between workers.
+// executes small GEMMs through them and layer migration moves their buffers
+// between workers.
 // Row-major float32 throughout; RAII ownership (no raw new/delete).
 #pragma once
 
@@ -36,12 +36,6 @@ class Tensor {
 
   std::span<float> data() { return data_; }
   std::span<const float> data() const { return data_; }
-  std::span<float> row(std::size_t r) {
-    return std::span<float>(data_).subspan(r * cols_, cols_);
-  }
-  std::span<const float> row(std::size_t r) const {
-    return std::span<const float>(data_).subspan(r * cols_, cols_);
-  }
 
   /// Bytes of the underlying buffer (what migration actually copies).
   std::size_t bytes() const { return data_.size() * sizeof(float); }

@@ -1,19 +1,36 @@
-// Full-rescan oracles for the cached paths of pipeline::StageMap and
-// pipeline::CostBuilder, built on public API only.  The differential tests
-// in test_incremental_cost.cpp and test_cost_builder.cpp compare the
-// production answers against these with exact equality.
+// Full-rescan oracles for the cached paths of balance::MaxTree,
+// pipeline::StageMap and pipeline::CostBuilder, built on public API only.
+// The differential tests in test_incremental_cost.cpp and
+// test_cost_builder.cpp compare the production answers against these with
+// exact equality.
 #pragma once
 
 #include <algorithm>
 #include <span>
 #include <vector>
 
+#include "balance/incremental.hpp"
 #include "model/layer.hpp"
 #include "model/layer_cost.hpp"
 #include "pipeline/cost_builder.hpp"
 #include "pipeline/stage_map.hpp"
 
 namespace dynmo::testing {
+
+/// MaxTree::argmax as a linear scan over get(i), with std::max_element's
+/// first-max tie rule.  The tree must not be empty.
+inline std::size_t argmax_full_rescan(const balance::MaxTree& tree) {
+  std::size_t best = 0;
+  for (std::size_t i = 1; i < tree.size(); ++i) {
+    if (tree.get(best) < tree.get(i)) best = i;
+  }
+  return best;
+}
+
+/// MaxTree::max_value as a linear scan over get(i).
+inline double max_value_full_rescan(const balance::MaxTree& tree) {
+  return tree.get(argmax_full_rescan(tree));
+}
 
 /// StageMap::stage_of as an O(S) scan: the first stage whose range holds
 /// `layer` (empty stages never do).

@@ -136,16 +136,19 @@ TEST(Deployment, SessionRejectsMismatchedDeployment) {
   EXPECT_THROW((void)Session(m, UseCase::Static, opt).run(), Error);
 }
 
+cluster::Deployment three_by_four() {
+  return linear(cluster::Topology::make_homogeneous(
+                    3, 4, hw::GpuSpec::h100_sxm5(),
+                    cluster::default_link(cluster::LinkType::NvLink),
+                    cluster::default_link(cluster::LinkType::InfiniBand)),
+                12);
+}
+
 TEST(RepackDeployment, ContiguousSnapsToNodeBoundary) {
   // 3 nodes x 4 GPUs, 12 workers; memory fits into 6 workers, but 6 leaves
-  // node 1 half-occupied — the node-aware packer keeps 8 so the release is
+  // node 1 half-occupied — the aligned count is 8, so the release is
   // exactly one whole node.
-  const auto dep = linear(
-      cluster::Topology::make_homogeneous(
-          3, 4, hw::GpuSpec::h100_sxm5(),
-          cluster::default_link(cluster::LinkType::NvLink),
-          cluster::default_link(cluster::LinkType::InfiniBand)),
-      12);
+  const auto dep = three_by_four();
   repack::ContiguousRepackRequest req;
   req.memory_bytes = std::vector<double>(12, 10.0);  // 120 total
   req.mem_capacity = 20.0;
@@ -154,10 +157,11 @@ TEST(RepackDeployment, ContiguousSnapsToNodeBoundary) {
   const auto plain = repack::repack_contiguous(req, 12);
   EXPECT_EQ(plain.active_workers, 6);
 
-  const auto aware = repack::repack_contiguous(req, 12, dep);
+  req.target_workers = repack::node_aligned_workers(dep, 6, 12);
+  EXPECT_EQ(req.target_workers, 8);
+  const auto aware = repack::repack_contiguous(req, 12);
   EXPECT_TRUE(aware.feasible);
   EXPECT_EQ(aware.active_workers, 8);
-  EXPECT_EQ(aware.whole_nodes_freed, 1);
   // Survivor map is still memory-feasible.
   const auto mem = aware.map.stage_loads(req.memory_bytes);
   for (int s = 0; s < 8; ++s) {
@@ -166,28 +170,25 @@ TEST(RepackDeployment, ContiguousSnapsToNodeBoundary) {
 }
 
 TEST(RepackDeployment, ContiguousHonorsExplicitTargetExactly) {
-  // Forced Fig-4 sweeps pin the worker count; the node-aware packer must
-  // deliver it verbatim, never snap it to a node boundary.
-  const auto dep = linear(
-      cluster::Topology::make_homogeneous(
-          3, 4, hw::GpuSpec::h100_sxm5(),
-          cluster::default_link(cluster::LinkType::NvLink),
-          cluster::default_link(cluster::LinkType::InfiniBand)),
-      12);
+  // Forced Fig-4 sweeps pin the worker count: the packer delivers it
+  // verbatim even mid-node, where alignment would have chosen 8.  (The
+  // session never aligns an explicit target; SessionAlignsOnlyItsOwnCount
+  // pins that end to end.)
+  const auto dep = three_by_four();
   repack::ContiguousRepackRequest req;
   req.memory_bytes = std::vector<double>(12, 10.0);
   req.mem_capacity = 30.0;
   req.fill_fraction = 1.0;
   req.target_workers = 5;  // mid-node on purpose
-  const auto res = repack::repack_contiguous(req, 12, dep);
+  const auto res = repack::repack_contiguous(req, 12);
   EXPECT_TRUE(res.feasible);
   EXPECT_EQ(res.active_workers, 5);
-  EXPECT_EQ(res.whole_nodes_freed, 1);  // node 2 (workers 8..11)
+  EXPECT_EQ(repack::node_aligned_workers(dep, 5, 12), 8);
 }
 
 TEST(RepackDeployment, ContiguousKeepsPartialReleaseWhenNoNodeFrees) {
   // 2 nodes x 4: packing to 5 frees 3 GPUs of node 1 but no whole node;
-  // snapping up would free nothing, so the memory-minimal pack is kept.
+  // snapping up would free nothing, so the memory-minimal count is kept.
   const auto dep = linear(
       cluster::Topology::make_homogeneous(
           2, 4, hw::GpuSpec::h100_sxm5(),
@@ -198,9 +199,55 @@ TEST(RepackDeployment, ContiguousKeepsPartialReleaseWhenNoNodeFrees) {
   req.memory_bytes = std::vector<double>(10, 10.0);  // 100 total
   req.mem_capacity = 20.0;
   req.fill_fraction = 1.0;
-  const auto aware = repack::repack_contiguous(req, 8, dep);
-  EXPECT_EQ(aware.active_workers, 5);
-  EXPECT_EQ(aware.whole_nodes_freed, 0);
+  const auto plain = repack::repack_contiguous(req, 8);
+  EXPECT_EQ(plain.active_workers, 5);
+  EXPECT_EQ(repack::node_aligned_workers(dep, plain.active_workers, 8), 5);
+  // Already on a boundary, or nothing left to release: unchanged.
+  EXPECT_EQ(repack::node_aligned_workers(dep, 4, 8), 4);
+  EXPECT_EQ(repack::node_aligned_workers(dep, 8, 8), 8);
+}
+
+// A session that re-packs with MemoryFirstFit and no explicit target
+// chooses the memory-minimal count itself — 7 of 12 workers here, mid-way
+// through node 1 — and on a deployment aligns it up to the node boundary
+// at 8, so node 2 is released whole.  An explicit target of 7 is honored.
+TEST(RepackDeployment, SessionAlignsOnlyItsOwnCount) {
+  const auto m = model::make_gpt({.num_blocks = 24,
+                                  .hidden = 8192,
+                                  .include_embedding = false,
+                                  .include_lm_head = false});
+  const auto dep = three_by_four();
+  Options opt;
+  opt.session.pipeline_stages = 12;
+  opt.session.num_microbatches = 12;
+  opt.session.micro_batch = 1;
+  opt.session.iterations = 200;  // one re-pack point, at iteration 100
+  opt.session.sim_stride = 50;
+  opt.session.rebalance_interval = 100;
+  opt.session.mode = runtime::BalancingMode::DynMo;
+  opt.session.repack = true;
+  opt.session.repack_interval = 100;
+  opt.session.repack_policy =
+      runtime::SessionConfig::RepackPolicy::MemoryFirstFit;
+
+  const auto flat = Session(m, UseCase::Static, opt).run();
+  EXPECT_EQ(flat.repack_count, 1);
+  EXPECT_EQ(flat.final_map.num_stages(), 7);
+
+  opt.session.deployment = dep;
+  const auto aligned = Session(m, UseCase::Static, opt).run();
+  EXPECT_FALSE(aligned.oom);
+  EXPECT_EQ(aligned.repack_count, 1);
+  ASSERT_EQ(aligned.final_map.num_stages(), 8);
+  EXPECT_NE(dep.node(7), dep.node(8));
+  EXPECT_EQ(aligned.final_map.boundaries(),
+            (std::vector<std::size_t>{0, 3, 6, 9, 12, 15, 18, 21, 24}));
+  EXPECT_EQ(aligned.avg_active_workers, 10.0);  // 12 for 100 iters, then 8
+
+  opt.session.repack_target_workers = 7;
+  const auto forced = Session(m, UseCase::Static, opt).run();
+  EXPECT_FALSE(forced.oom);
+  EXPECT_EQ(forced.final_map.num_stages(), 7);
 }
 
 // The acceptance test of the whole API move: the session runs

@@ -102,8 +102,8 @@ TEST(MaxTree, RandomizedStressVsMaxElementOracle) {
       ASSERT_EQ(tree.argmax(),
                 static_cast<std::size_t>(oracle - shadow.begin()))
           << "seed " << seed << " op " << op;
-      ASSERT_EQ(tree.max_value(), tree.max_value_full_rescan());
-      ASSERT_EQ(tree.argmax(), tree.argmax_full_rescan());
+      ASSERT_EQ(tree.max_value(), testing::max_value_full_rescan(tree));
+      ASSERT_EQ(tree.argmax(), testing::argmax_full_rescan(tree));
       const std::size_t probe = rng() % shadow.size();
       ASSERT_EQ(tree.get(probe), shadow[probe]);
     }

@@ -1,6 +1,5 @@
-// Unit tests for tensor/: dense ops, top-k selection, CSR compression and
-// SpMM — the real kernels behind the threaded runtime and the distributed
-// pruning path.
+// Unit tests for tensor/: dense ops and top-k selection — the real kernels
+// behind the threaded runtime and the distributed pruning path.
 #include <gtest/gtest.h>
 
 #include <cmath>
@@ -9,7 +8,6 @@
 #include <limits>
 
 #include "core/rng.hpp"
-#include "tensor/csr.hpp"
 #include "tensor/tensor.hpp"
 
 namespace dynmo::tensor {
@@ -18,18 +16,6 @@ namespace {
 /// Writable element (r, c) of a row-major tensor.
 float& at(Tensor& t, std::size_t r, std::size_t c) {
   return t.data()[r * t.cols() + c];
-}
-
-/// The dense matrix a CSR matrix compresses: the oracle for its kernels.
-Tensor to_dense(const CsrMatrix& m) {
-  Tensor t(m.rows(), m.cols());
-  for (std::size_t r = 0; r < m.rows(); ++r) {
-    for (std::uint32_t i = m.row_offsets()[r]; i < m.row_offsets()[r + 1];
-         ++i) {
-      at(t, r, m.col_indices()[i]) = m.values()[i];
-    }
-  }
-  return t;
 }
 
 Tensor naive_matmul(const Tensor& a, const Tensor& b) {
@@ -50,15 +36,19 @@ Tensor naive_matmul(const Tensor& a, const Tensor& b) {
 /// a_ik * b_kj terms in k order, skipping a_ik == 0.  The tiled kernel
 /// must match it bit for bit.
 Tensor ikj_matmul(const Tensor& a, const Tensor& b) {
-  Tensor c(a.rows(), b.cols());
+  const std::size_t k = a.cols();
+  const std::size_t n = b.cols();
+  Tensor c(a.rows(), n);
+  const auto ad = a.data();
+  const auto bd = b.data();
+  const auto cd = c.data();
   for (std::size_t i = 0; i < a.rows(); ++i) {
-    const auto arow = a.row(i);
-    auto crow = c.row(i);
-    for (std::size_t kk = 0; kk < a.cols(); ++kk) {
-      const float aik = arow[kk];
+    for (std::size_t kk = 0; kk < k; ++kk) {
+      const float aik = ad[i * k + kk];
       if (aik == 0.0f) continue;
-      const auto brow = b.row(kk);
-      for (std::size_t j = 0; j < b.cols(); ++j) crow[j] += aik * brow[j];
+      for (std::size_t j = 0; j < n; ++j) {
+        cd[i * n + j] += aik * bd[kk * n + j];
+      }
     }
   }
   return c;
@@ -202,60 +192,6 @@ TEST(TopK, ClampsToSize) {
   const std::vector<float> xs = {1.0f, 2.0f};
   EXPECT_EQ(topk_abs_indices(xs, 10).size(), 2u);
   EXPECT_TRUE(topk_abs_indices(xs, 0).empty());
-}
-
-TEST(Csr, RoundTripThreshold) {
-  Rng rng(1);
-  const Tensor dense = Tensor::random(10, 14, rng);
-  const CsrMatrix csr = CsrMatrix::from_dense(dense, 0.5f);
-  const Tensor back = to_dense(csr);
-  for (std::size_t r = 0; r < dense.rows(); ++r) {
-    for (std::size_t c = 0; c < dense.cols(); ++c) {
-      const float expect =
-          std::abs(dense.at(r, c)) >= 0.5f ? dense.at(r, c) : 0.0f;
-      EXPECT_EQ(back.at(r, c), expect);
-    }
-  }
-}
-
-TEST(Csr, DensityAndBytes) {
-  Tensor dense(4, 4);
-  at(dense, 0, 0) = 1.0f;
-  at(dense, 3, 3) = -2.0f;
-  const CsrMatrix csr = CsrMatrix::from_dense(dense, 0.1f);
-  EXPECT_EQ(csr.nnz(), 2u);
-  EXPECT_DOUBLE_EQ(csr.density(), 2.0 / 16.0);
-  EXPECT_EQ(csr.bytes(),
-            2 * sizeof(float) + 2 * sizeof(std::uint32_t) +
-                5 * sizeof(std::uint32_t));
-}
-
-class CsrSpmm : public ::testing::TestWithParam<float> {};
-
-TEST_P(CsrSpmm, MatchesDenseMatmul) {
-  Rng rng(3);
-  const Tensor x = Tensor::random(7, 12, rng);
-  const Tensor w = Tensor::random(12, 9, rng);
-  const CsrMatrix sw = CsrMatrix::from_dense(w, GetParam());
-  const Tensor ref = matmul(x, to_dense(sw));
-  const Tensor y = sw.spmm_left(x);
-  ASSERT_EQ(y.rows(), ref.rows());
-  ASSERT_EQ(y.cols(), ref.cols());
-  for (std::size_t i = 0; i < y.size(); ++i) {
-    EXPECT_NEAR(y.data()[i], ref.data()[i], 1e-4);
-  }
-}
-
-INSTANTIATE_TEST_SUITE_P(Thresholds, CsrSpmm,
-                         ::testing::Values(0.0f, 0.3f, 1.0f, 5.0f));
-
-TEST(Csr, EmptyMatrix) {
-  Tensor dense(3, 3);
-  const CsrMatrix csr = CsrMatrix::from_dense(dense, 0.1f);
-  EXPECT_EQ(csr.nnz(), 0u);
-  const Tensor x(2, 3, 1.0f);
-  const Tensor y = csr.spmm_left(x);
-  for (float v : y.data()) EXPECT_EQ(v, 0.0f);
 }
 
 }  // namespace
