@@ -20,9 +20,9 @@
 //   * sub-millisecond mean per-decision latency at 16k ranks;
 //   * near-linear memory: cached-surface bytes grow at most 1.5x faster
 //     than the rank count across the sweep.
-// Every 64th decision is also cross-checked against the full-rescan twins
-// (evaluate_full_rescan, bottleneck_*_full_rescan) with exact equality —
-// the bench aborts on the first diverging bit (exit 3).
+// Every 64th decision is also cross-checked against the naive evaluator
+// (balance::evaluate_full_rescan) with exact equality — the bench aborts
+// on the first diverging bit (exit 3).
 //
 // A second table times the per-iteration pipeline phases at 64, 256 and
 // 1,024 stages (4 GPT blocks per stage, 256 microbatches): `build_us` is
@@ -169,17 +169,17 @@ SweepResult run_size(int stages, int decisions, int partition_reps) {
     out.total_plan_transfers += static_cast<double>(ev.plan.transfers.size());
 
     if (d % 64 == 0) {
-      // Exact-equality cross-check against the reference twins, and a
+      // Exact-equality cross-check against the naive evaluator, and a
       // timed full rescan for the printed contrast column.
       const auto r0 = Clock::now();
-      const balance::SurfaceEval ref = surf.evaluate_full_rescan(cur);
+      const balance::SurfaceEval ref =
+          balance::evaluate_full_rescan(cur, cur, w, t, m, caps);
       const auto r1 = Clock::now();
       rescan_us_sum +=
           std::chrono::duration<double, std::micro>(r1 - r0).count();
       ++rescan_samples;
-      (void)ref;
-      if (surf.bottleneck_w() != surf.bottleneck_w_full_rescan() ||
-          surf.bottleneck_t() != surf.bottleneck_t_full_rescan()) {
+      if (surf.bottleneck_w() != ref.norm_w_before ||
+          surf.bottleneck_t() != ref.norm_t_before) {
         std::fprintf(stderr,
                      "FATAL: incremental bottleneck diverged from full "
                      "rescan at %d stages, decision %d\n",

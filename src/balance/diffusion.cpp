@@ -119,9 +119,7 @@ DiffusionResult DiffusionBalancer::balance(
   const double total =
       std::accumulate(norm.begin(), norm.end(), 0.0);
   const double gamma = req.gamma > 0.0 ? req.gamma : 1e-3 * total;
-  const int max_rounds = req.max_rounds > 0
-                             ? req.max_rounds
-                             : lemma2_round_bound(S, total, gamma);
+  const int max_rounds = lemma2_round_bound(S, total, gamma);
 
   // Stages in ascending order of norm, kept across rounds: a round moves a
   // few boundary layers, so insertion sort restores the order in about

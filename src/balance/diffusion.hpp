@@ -37,7 +37,6 @@ struct DiffusionRequest {
   std::vector<double> capacities;
   double mem_capacity = 0.0;         ///< per-stage cap; <=0 → unconstrained
   double gamma = 0.0;     ///< convergence threshold on φ; <=0 → 1e-3·Σx
-  int max_rounds = 0;     ///< 0 → the Lemma-2 bound for this instance
 };
 
 struct DiffusionResult {

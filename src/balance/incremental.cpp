@@ -63,6 +63,45 @@ std::size_t MaxTree::memory_bytes() const {
          idx_.capacity() * sizeof(std::uint32_t);
 }
 
+// ------------------------------------------------ evaluate_full_rescan
+
+namespace {
+
+/// The bottleneck a (possibly heterogeneous) pipeline runs at: the largest
+/// stage load divided by its capacity.
+double normalized_max(const pipeline::StageMap& map,
+                      std::span<const double> per_layer,
+                      std::span<const double> capacities) {
+  auto loads = map.stage_loads(per_layer);
+  if (!capacities.empty()) {
+    DYNMO_CHECK(capacities.size() == loads.size(),
+                "capacity vector covers " << capacities.size()
+                                          << " stages, map has "
+                                          << loads.size());
+    for (std::size_t s = 0; s < loads.size(); ++s) {
+      loads[s] /= std::max(1e-12, capacities[s]);
+    }
+  }
+  return *std::max_element(loads.begin(), loads.end());
+}
+
+}  // namespace
+
+SurfaceEval evaluate_full_rescan(const pipeline::StageMap& before,
+                                 const pipeline::StageMap& candidate,
+                                 std::span<const double> weights,
+                                 std::span<const double> time_s,
+                                 std::span<const double> mem_bytes,
+                                 std::span<const double> capacities) {
+  SurfaceEval ev;
+  ev.plan = plan_migration_full_rescan(before, candidate, mem_bytes);
+  ev.norm_w_before = normalized_max(before, weights, capacities);
+  ev.norm_w_after = normalized_max(candidate, weights, capacities);
+  ev.norm_t_before = normalized_max(before, time_s, capacities);
+  ev.norm_t_after = normalized_max(candidate, time_s, capacities);
+  return ev;
+}
+
 // --------------------------------------------------------- CostSurface
 
 double CostSurface::norm_w(std::size_t s) const {
@@ -164,26 +203,6 @@ std::size_t CostSurface::sync(const pipeline::StageMap& map,
   return count;
 }
 
-double CostSurface::bottleneck_w_full_rescan() const {
-  auto loads = map_.stage_loads(w_);
-  if (!caps_.empty()) {
-    for (std::size_t s = 0; s < loads.size(); ++s) {
-      loads[s] /= std::max(1e-12, caps_[s]);
-    }
-  }
-  return *std::max_element(loads.begin(), loads.end());
-}
-
-double CostSurface::bottleneck_t_full_rescan() const {
-  auto loads = map_.stage_loads(t_);
-  if (!caps_.empty()) {
-    for (std::size_t s = 0; s < loads.size(); ++s) {
-      loads[s] /= std::max(1e-12, caps_[s]);
-    }
-  }
-  return *std::max_element(loads.begin(), loads.end());
-}
-
 SurfaceEval CostSurface::evaluate(const pipeline::StageMap& candidate) {
   DYNMO_CHECK(!overlay_, "evaluate() with an uncommitted candidate overlay");
   DYNMO_CHECK(candidate.num_layers() == map_.num_layers(),
@@ -212,32 +231,6 @@ SurfaceEval CostSurface::evaluate(const pipeline::StageMap& candidate) {
   ev.norm_t_after = tree_t_.max_value();
   cand_ = candidate;
   overlay_ = true;
-  return ev;
-}
-
-SurfaceEval CostSurface::evaluate_full_rescan(
-    const pipeline::StageMap& candidate) const {
-  SurfaceEval ev;
-  const auto normalized_max = [&](const pipeline::StageMap& m,
-                                  std::span<const double> per_layer) {
-    auto loads = m.stage_loads(per_layer);
-    if (!caps_.empty()) {
-      DYNMO_CHECK(caps_.size() == loads.size(),
-                  "capacity vector covers " << caps_.size()
-                                            << " stages, map has "
-                                            << loads.size());
-      for (std::size_t s = 0; s < loads.size(); ++s) {
-        loads[s] /= std::max(1e-12, caps_[s]);
-      }
-    }
-    return *std::max_element(loads.begin(), loads.end());
-  };
-  ev.norm_w_before = normalized_max(map_, w_);
-  ev.norm_t_before = normalized_max(map_, t_);
-  ev.norm_w_after = normalized_max(candidate, w_);
-  ev.norm_t_after = normalized_max(candidate, t_);
-  ev.plan = plan_migration_full_rescan(map_, candidate, m_);
-  ev.touched_stages = static_cast<std::size_t>(map_.num_stages());
   return ev;
 }
 

@@ -31,8 +31,9 @@
 //      full diff; it merely skips the layers provably outside any
 //      boundary-difference interval (an integer argument, no FP involved).
 //
-// Every surface ships a *_full_rescan() reference twin (MaxTree's live in
-// tests/cost_oracles.hpp), kept alive under test:
+// The surfaces have naive reference twins — evaluate_full_rescan below,
+// plan_migration_full_rescan, and MaxTree's in tests/cost_oracles.hpp —
+// kept alive under test:
 // tests/test_incremental_cost.cpp drives randomized perturbation streams
 // through both paths and asserts exact (EXPECT_EQ) equality.
 #pragma once
@@ -93,6 +94,19 @@ struct SurfaceEval {
   std::size_t touched_stages = 0;
 };
 
+/// The naive evaluator, CostSurface::evaluate's reference twin: prices the
+/// move `before` → `candidate` from scratch in O(L + S) — full
+/// StageMap::stage_loads divided by max(1e-12, capacity), std::max_element,
+/// and the full-diff migration plan.  `capacities` empty → uniform;
+/// otherwise it must cover every stage.  `touched_stages` is 0: nothing
+/// is cached.
+SurfaceEval evaluate_full_rescan(const pipeline::StageMap& before,
+                                 const pipeline::StageMap& candidate,
+                                 std::span<const double> weights,
+                                 std::span<const double> time_s,
+                                 std::span<const double> mem_bytes,
+                                 std::span<const double> capacities);
+
 /// Cached per-stage cost terms for one (stage map, per-layer profile,
 /// capacities) snapshot, in two currencies at once: the balancing weights
 /// (whatever BalanceBy selected) and the profile's time loads (seconds,
@@ -129,19 +143,11 @@ class CostSurface {
   /// Capacity-normalized bottleneck of the current map, O(1) off the tree.
   double bottleneck_w() const { return tree_w_.max_value(); }
   double bottleneck_t() const { return tree_t_.max_value(); }
-  /// Reference twins: naive O(L + S) rescan (StageMap::stage_loads +
-  /// std::max_element), kept alive under test.
-  double bottleneck_w_full_rescan() const;
-  double bottleneck_t_full_rescan() const;
 
   /// Price a candidate map incrementally: recompute only the stages whose
   /// boundaries moved, leaving an undo overlay in place.  Exactly one of
   /// commit()/rollback() must follow before the next evaluate()/sync().
   SurfaceEval evaluate(const pipeline::StageMap& candidate);
-  /// Reference twin: naive O(L + S) evaluation of the same candidate
-  /// (full stage_loads, std::max_element, full-diff migration plan).
-  /// Does not touch the cache.
-  SurfaceEval evaluate_full_rescan(const pipeline::StageMap& candidate) const;
 
   /// Adopt the last evaluated candidate as the current map.
   void commit();

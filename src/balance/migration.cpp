@@ -15,16 +15,28 @@ double MigrationPlan::total_bytes() const {
 
 namespace {
 
-/// Serialize per endpoint: a rank's migration time is the sum of the
-/// p2p times of every transfer it participates in; the plan completes when
-/// the busiest rank does.
-double bottleneck_rank_time(const std::vector<LayerTransfer>& transfers,
-                            const comm::CostModel& net,
-                            auto&& rank_of_stage) {
+/// Stage s runs on rank stage_to_rank[s]; empty → rank s.
+int rank_of(std::span<const int> stage_to_rank, int stage) {
+  if (stage_to_rank.empty()) return stage;
+  DYNMO_CHECK(stage >= 0 &&
+                  static_cast<std::size_t>(stage) < stage_to_rank.size(),
+              "transfer touches stage " << stage << " outside the "
+                                        << stage_to_rank.size()
+                                        << "-stage placement");
+  return stage_to_rank[static_cast<std::size_t>(stage)];
+}
+
+}  // namespace
+
+// Serialize per endpoint: a rank's migration time is the sum of the p2p
+// times of every transfer it participates in; the plan completes when the
+// busiest rank does.
+double MigrationPlan::estimated_time_s(
+    const comm::CostModel& net, std::span<const int> stage_to_rank) const {
   std::map<int, double> rank_time;
   for (const auto& t : transfers) {
-    const int src = rank_of_stage(t.src_stage);
-    const int dst = rank_of_stage(t.dst_stage);
+    const int src = rank_of(stage_to_rank, t.src_stage);
+    const int dst = rank_of(stage_to_rank, t.dst_stage);
     const double s =
         net.p2p_time(src, dst, static_cast<std::size_t>(t.bytes));
     rank_time[src] += s;
@@ -35,36 +47,13 @@ double bottleneck_rank_time(const std::vector<LayerTransfer>& transfers,
   return worst;
 }
 
-}  // namespace
-
-double MigrationPlan::estimated_time_s(const comm::CostModel& net) const {
-  return bottleneck_rank_time(transfers, net,
-                              [](int stage) { return stage; });
-}
-
-double MigrationPlan::estimated_time_s(
-    const comm::CostModel& net, std::span<const int> stage_to_rank) const {
-  return bottleneck_rank_time(transfers, net, [&](int stage) {
-    DYNMO_CHECK(stage >= 0 &&
-                    static_cast<std::size_t>(stage) < stage_to_rank.size(),
-                "transfer touches stage " << stage << " outside the "
-                                          << stage_to_rank.size()
-                                          << "-stage placement");
-    return stage_to_rank[static_cast<std::size_t>(stage)];
-  });
-}
-
 MigrationCost MigrationPlan::exposed_cost(
     const comm::CostModel& net, std::span<const int> stage_to_rank) const {
   MigrationCost cost;
-  cost.time_s = stage_to_rank.empty() ? estimated_time_s(net)
-                                      : estimated_time_s(net, stage_to_rank);
-  const auto rank_of = [&](int stage) {
-    if (stage_to_rank.empty()) return stage;
-    return stage_to_rank[static_cast<std::size_t>(stage)];
-  };
+  cost.time_s = estimated_time_s(net, stage_to_rank);
   for (const auto& t : transfers) {
-    if (net.same_node(rank_of(t.src_stage), rank_of(t.dst_stage))) {
+    if (net.same_node(rank_of(stage_to_rank, t.src_stage),
+                      rank_of(stage_to_rank, t.dst_stage))) {
       cost.intra_node_bytes += t.bytes;
     } else {
       cost.inter_node_bytes += t.bytes;

@@ -40,19 +40,25 @@ struct MigrationPlan {
 
   bool empty() const { return transfers.empty(); }
   double total_bytes() const;
-  /// Wall-clock estimate under per-rank serialization; stage s is rank s.
-  double estimated_time_s(const comm::CostModel& net) const;
-  /// Same, but stage s lives on rank stage_to_rank[s] (a deployment's
-  /// placement); each transfer is priced by the link its endpoints
+  /// Wall-clock estimate under per-rank serialization: stage s lives on
+  /// rank stage_to_rank[s] (a deployment's placement; empty → stage s is
+  /// rank s), and each transfer is priced by the link its endpoints
   /// actually share.
   double estimated_time_s(const comm::CostModel& net,
-                          std::span<const int> stage_to_rank) const;
+                          std::span<const int> stage_to_rank = {}) const;
   /// estimated_time_s plus the intra/inter-node byte split — what the
   /// payoff-window acceptance rule weighs against the projected gain.
   /// Empty `stage_to_rank` → stage s is rank s.
   MigrationCost exposed_cost(const comm::CostModel& net,
                              std::span<const int> stage_to_rank = {}) const;
 };
+
+/// The payoff rule (docs/COST_MODEL.md "Payoff-window acceptance"): a
+/// move whose per-iteration `gain` times `window_iters` falls short of its
+/// one-off `cost` does not amortize.  `window_iters <= 0` disables it.
+inline bool amortizes(double gain, double window_iters, double cost) {
+  return !(window_iters > 0.0 && gain * window_iters < cost);
+}
 
 /// Diff `before` → `after`; `state_bytes[l]` is what layer l's migration
 /// actually moves (params+grads+optimizer; CSR index arrays when pruned).

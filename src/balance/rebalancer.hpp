@@ -93,14 +93,14 @@ struct RebalanceConfig {
   std::function<DiffusionResult(const DiffusionRequest&,
                                 const pipeline::StageMap&)>
       hierarchical_decider{};
-  /// Incremental decision path (default): the acceptance math — per-stage
-  /// load sums, capacity-normalized bottlenecks, migration diff — is
-  /// served from a balance::CostSurface that re-sums only the stages a
-  /// profile change or candidate move touches, instead of re-pricing the
-  /// whole grid per decision.  Proven *bit-identical* to the naive full
-  /// rescan (Rebalancer::rebalance_full_rescan) by the differential suite
-  /// in tests/test_incremental_cost.cpp, including session-level telemetry
-  /// byte-equality; false forces the reference path.
+  /// Selects only how a candidate is evaluated — per-stage load sums,
+  /// capacity-normalized bottlenecks, migration diff.  true (default):
+  /// from a balance::CostSurface that re-sums only the stages a profile
+  /// change or candidate move touches.  false: the naive
+  /// balance::evaluate_full_rescan.  Proposal and acceptance are shared,
+  /// and the two evaluators are proven *bit-identical* by the
+  /// differential suite in tests/test_incremental_cost.cpp, including
+  /// session-level telemetry byte-equality.
   bool incremental = true;
 };
 
@@ -153,34 +153,42 @@ class Rebalancer {
       : cfg_(cfg), net_(net) {}
 
   /// Decide a new stage map from the profile; compute migration plan and
-  /// overheads relative to `current`.  Dispatches on
-  /// RebalanceConfig::incremental: the cached decision path by default,
-  /// the naive rescan otherwise — with identical outcomes either way.
+  /// overheads relative to `current`.  RebalanceConfig::incremental picks
+  /// how the candidate is evaluated — the cached CostSurface by default,
+  /// the naive evaluate_full_rescan otherwise — with identical outcomes
+  /// either way.
   RebalanceOutcome rebalance(const LayerProfile& profile,
                              const pipeline::StageMap& current) const;
 
-  /// Reference twin: the naive decision path that re-prices every stage
-  /// from scratch (full stage_loads + std::max_element + O(L) migration
-  /// diff per decision).  Kept alive under test as the differential
-  /// oracle for the incremental path.
+  /// Reference twin: rebalance() with the naive evaluator whatever the
+  /// config says.  Kept alive under test as the differential oracle for
+  /// the incremental path.
   RebalanceOutcome rebalance_full_rescan(
       const LayerProfile& profile, const pipeline::StageMap& current) const;
 
   const RebalanceConfig& config() const { return cfg_; }
 
-  /// Stages the cached decision path re-summed at the last rebalance()
+  /// Stages the cached decision path re-summed at the last decision
   /// (profile sync + candidate evaluation) — observability for the
-  /// bench_scale work counters; 0 after a full-rescan dispatch.
+  /// bench_scale work counters; 0 after a naive one.
   std::size_t last_touched_stages() const { return last_touched_; }
 
  private:
-  RebalanceOutcome rebalance_incremental(
-      const LayerProfile& profile, const pipeline::StageMap& current) const;
-  /// Candidate generation (the configured balancing algorithm), shared by
-  /// both decision paths so they evaluate the identical candidate map.
-  /// Sets out.map, out.overhead.decide_s and, for Diffusion, out.diffusion.
+  /// The one decision body: profile checks, propose, evaluate (cached or
+  /// naive), accept.
+  RebalanceOutcome decide(const LayerProfile& profile,
+                          const pipeline::StageMap& current,
+                          bool incremental) const;
+  /// Candidate generation (the configured balancing algorithm).  Sets
+  /// out.map, out.overhead.decide_s and, for Diffusion, out.diffusion.
   void propose(std::span<const double> weights, const LayerProfile& profile,
                const pipeline::StageMap& current, RebalanceOutcome& out) const;
+  /// Acceptance on the evaluated candidate: the bottleneck hysteresis,
+  /// then the payoff window.  Resets out.map to `current` on rejection;
+  /// on acceptance of a non-empty plan, moves it into out.migration and
+  /// charges the migration time the payoff gate priced.
+  void accept(SurfaceEval& ev, const pipeline::StageMap& current,
+              RebalanceOutcome& out) const;
 
   RebalanceConfig cfg_;
   comm::CostModel net_;

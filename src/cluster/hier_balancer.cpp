@@ -177,7 +177,6 @@ HierResult HierarchicalBalancer::balance(
       sub.capacities = slice(cap, static_cast<std::size_t>(g.stage_begin),
                              static_cast<std::size_t>(g.stage_end));
       sub.mem_capacity = req.mem_capacity;
-      sub.max_rounds = req.max_rounds;
       if (req.gamma > 0.0) {
         // Split γ by the group's share of the capacity-normalized load —
         // the units φ and γ are measured in.
@@ -252,7 +251,6 @@ HierResult HierarchicalBalancer::balance(
     balance::DiffusionRequest super;
     super.weights = req.weights;
     super.memory_bytes = req.memory_bytes;
-    super.max_rounds = req.max_rounds;
     super.gamma = req.gamma;
     // Per-node memory cap: a node absorbs up to its stage count's worth.
     if (req.mem_capacity > 0.0) {
@@ -354,7 +352,8 @@ HierResult HierarchicalBalancer::balance(
                          topo_migration_time(to_intra, *topo_,
                                              stage_to_rank)) *
             cfg_.migration_cost_multiplier;
-        if (gain * cfg_.payoff_window_iters < res.inter_exposed_cost_s) {
+        if (!balance::amortizes(gain, cfg_.payoff_window_iters,
+                                res.inter_exposed_cost_s)) {
           pays_off = false;
           res.inter_rejected_by_payoff = true;
         }

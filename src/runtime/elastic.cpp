@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cmath>
 
+#include "balance/migration.hpp"
 #include "balance/partition.hpp"
 #include "core/error.hpp"
 #include "core/log.hpp"
@@ -132,9 +133,9 @@ ElasticDecision ElasticController::decide(
     // stall in place of the migration wall-clock.
     d.projected_gain_s =
         static_cast<double>(active_workers - target) * bottleneck;
-    if (window > 0.0 &&
-        d.projected_gain_s * window <
-            d.restart_stall_s * static_cast<double>(active_workers)) {
+    if (!balance::amortizes(
+            d.projected_gain_s, window,
+            d.restart_stall_s * static_cast<double>(active_workers))) {
       d.rejected_by_payoff = true;
       return d;
     }
@@ -163,7 +164,7 @@ ElasticDecision ElasticController::decide(
         d.restart_stall_s = d.stall.total_s();
         // The migration payoff rule verbatim: per-iteration gain times the
         // window must cover the exposed (restart) cost.
-        if (window > 0.0 && gain * window < d.restart_stall_s) {
+        if (!balance::amortizes(gain, window, d.restart_stall_s)) {
           d.rejected_by_payoff = true;
           return d;
         }

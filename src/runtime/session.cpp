@@ -561,18 +561,17 @@ void TrainingSession::start() {
     if (cfg_.algorithm == balance::Algorithm::HierarchicalDiffusion) {
       // Inject the two-level balancer (cluster/ sits above balance/, so
       // the orchestrator cannot reach it itself).  Its inter-node payoff
-      // gate inherits the session window only under time balancing — the
+      // gate takes the session window only under time balancing — the
       // hier gain is in weight units, and only seconds compare against
       // migration seconds.
-      cluster::HierConfig hier_cfg = cfg_.hier;
-      if (hier_cfg.payoff_window_iters <= 0.0 &&
-          cfg_.balance_by == balance::BalanceBy::Time) {
+      cluster::HierConfig hier_cfg;
+      if (cfg_.balance_by == balance::BalanceBy::Time) {
         hier_cfg.payoff_window_iters = cfg_.payoff_window_iters;
       }
       // Same cost scaling as the flat gate: DP replicas mirror every
       // move, and every-iteration cadences expose only the non-overlapped
       // remainder of the transfer.
-      hier_cfg.migration_cost_multiplier *=
+      hier_cfg.migration_cost_multiplier =
           static_cast<double>(cfg_.data_parallel);
       if (R.interval == 1) {
         hier_cfg.migration_cost_multiplier *=
@@ -1052,9 +1051,7 @@ double TrainingSession::step() {
         const auto packed = pipeline::StageMap::from_boundaries(b);
         const auto migration = balance::plan_migration(map, packed, mem);
         const double migrate_s =
-            R.rb_cfg.stage_to_rank.empty()
-                ? migration.estimated_time_s(net_)
-                : migration.estimated_time_s(net_, R.rb_cfg.stage_to_rank);
+            migration.estimated_time_s(net_, R.rb_cfg.stage_to_rank);
         // Payoff gate for packing: the transfer stalls all `active`
         // workers for migrate_s once, and its payoff is the GPU-time of
         // the released workers — one bottleneck-iteration per window
@@ -1067,10 +1064,9 @@ double TrainingSession::step() {
         t.projected_gain_s =
             static_cast<double>(R.active - rp.active_workers) *
             bottleneck(map, profile.time_s);
-        const bool pays_off =
-            !(cfg_.payoff_window_iters > 0.0 &&
-              t.projected_gain_s * cfg_.payoff_window_iters <
-                  migrate_s * static_cast<double>(R.active));
+        const bool pays_off = balance::amortizes(
+            t.projected_gain_s, cfg_.payoff_window_iters,
+            migrate_s * static_cast<double>(R.active));
         emit_transition("repack", pays_off, t, migration.total_bytes());
         if (!pays_off) {
           ++res.maps_rejected_payoff;

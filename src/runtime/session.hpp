@@ -24,7 +24,6 @@
 #include "balance/rebalancer.hpp"
 #include "cluster/deployment.hpp"
 #include "fault/plan.hpp"
-#include "cluster/hier_balancer.hpp"
 #include "cluster/topology.hpp"
 #include "comm/cost_model.hpp"
 #include "dynamic/dynamism.hpp"
@@ -95,7 +94,11 @@ struct SessionConfig {
   /// current map (counted in SessionResult::maps_rejected_payoff, the
   /// avoided traffic in migration_bytes_avoided).  The same window gates
   /// re-packing: a pack must free enough GPU-time within the window to
-  /// cover the transfer stall.  0 → bottleneck-only hysteresis (the
+  /// cover the transfer stall.  Under Algorithm::HierarchicalDiffusion and
+  /// BalanceBy::Time it also gates the two-level balancer's inter-node
+  /// level (cluster::HierConfig, priced with the same DP mirroring and
+  /// overlap discount; other balance modes leave that gate off, since the
+  /// hier gain is in weight units).  0 → bottleneck-only hysteresis (the
   /// pre-payoff behavior).
   double payoff_window_iters = 0.0;
   /// Route rebalance decisions through the incremental cost surface
@@ -107,11 +110,6 @@ struct SessionConfig {
   /// recorded in the telemetry catalog — traces from both paths must stay
   /// byte-equal (tools/check_golden_trace.sh gates it).
   bool incremental_decisions = true;
-  /// Two-level balancer knobs for Algorithm::HierarchicalDiffusion.  When
-  /// its payoff fields are left at their defaults, the session fills them
-  /// in from `payoff_window_iters` (time balancing only — the hier gain is
-  /// in weight units) and multiplies the cost by `data_parallel`.
-  cluster::HierConfig hier{};
 
   bool repack = false;
   /// ThroughputPreserving — release only workers whose load fits into the

@@ -265,7 +265,6 @@ ThreadedReport ThreadedPipeline::run(const std::vector<PlanPhase>& phases) {
                 "every phase map must span all initial workers");
     DYNMO_CHECK(ph.map.num_layers() == cfg_.num_layers,
                 "phase map layer count mismatch");
-    DYNMO_CHECK(ph.heartbeat_every >= 1, "heartbeat cadence must be >= 1");
     if (ph.active) {
       DYNMO_CHECK(static_cast<int>(ph.active->size()) == cfg_.workers,
                   "active mask size mismatch");
@@ -742,10 +741,7 @@ ThreadedReport ThreadedPipeline::run(const std::vector<PlanPhase>& phases) {
               cut_checkpoint(m);
             }
             fs->set_monitored(rank, true);
-            if ((global_it - phase_start_git) % phase.heartbeat_every == 0 &&
-                !die_this_iter) {
-              fs->tick(rank);
-            }
+            if (!die_this_iter) fs->tick(rank);
           }
           const int first = first_hosting_stage(m);
           const int prev = prev_hosting_stage(m, rank);

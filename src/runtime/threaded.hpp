@@ -89,10 +89,6 @@ struct PlanPhase {
   /// active set, the "new NCCL communicator ... during the restart" of
   /// §3.4.2.  Rank 0 must stay active.  Mutually exclusive with `active`.
   std::optional<std::vector<bool>> restart_active;
-  /// Heartbeat cadence while this phase's pipeline runs: every worker
-  /// bumps its heartbeat at every Nth iteration boundary (and on every
-  /// receive poll while blocked).  Must be >= 1.
-  int heartbeat_every = 1;
 };
 
 struct ThreadedReport {

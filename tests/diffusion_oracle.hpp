@@ -101,9 +101,7 @@ inline DiffusionResult diffusion_oracle(const DiffusionRequest& req,
       std::accumulate(norm.begin(), norm.end(), 0.0);
   const double gamma = req.gamma > 0.0 ? req.gamma : 1e-3 * total;
   const int max_rounds =
-      req.max_rounds > 0
-          ? req.max_rounds
-          : DiffusionBalancer::lemma2_round_bound(S, total, gamma);
+      DiffusionBalancer::lemma2_round_bound(S, total, gamma);
 
   DiffusionResult res;
   res.phi_history.push_back(pairwise_potential(norm));

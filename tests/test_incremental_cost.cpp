@@ -1,7 +1,7 @@
 // Differential suite for the incremental decision path (docs/COST_MODEL.md
 // "Incremental recomputation").
 //
-// Every incremental surface ships a *_full_rescan() reference twin, and
+// Every incremental surface has a naive reference twin, and
 // the contract is *exact* equality — EXPECT_EQ on doubles, not EXPECT_NEAR:
 // the cached path must produce the very bits the naive rescan produces, so
 // no decision, bottleneck, priced cost, or telemetry byte can drift.  The
@@ -11,7 +11,7 @@
 //   MaxTree          vs std::max_element            (indexed-max stress)
 //   stage_of         vs the linear boundary scan
 //   plan_migration   vs the full O(L) diff
-//   CostSurface      vs naive stage_loads + max per perturbation
+//   CostSurface      vs balance::evaluate_full_rescan per perturbation
 //   Rebalancer       incremental vs rebalance_full_rescan, decisions and
 //                    all priced numbers
 //   CostBuilder      memoized layer pricing vs full re-evaluation
@@ -196,9 +196,9 @@ TEST(CostSurface, LockstepDifferentialUnderRandomPerturbations) {
   // Thousands of randomized perturbations per seed: profile mutations
   // (sync), capacity changes (full reset), stage-count changes ("topology"
   // reshapes), and candidate evaluations with random commit/rollback.
-  // After every step the cached bottlenecks must equal the naive rescan
-  // twins bit-for-bit, and evaluate() must agree with
-  // evaluate_full_rescan() on every field.
+  // After every step the cached bottlenecks must equal the naive
+  // evaluator's bit-for-bit, and evaluate() must agree with
+  // balance::evaluate_full_rescan() on every field.
   for (const std::uint64_t seed : {0xa1u, 0xb2u, 0xc3u}) {
     const std::size_t layers = 48;
     std::vector<double> w(layers), t(layers), m(layers);
@@ -251,7 +251,8 @@ TEST(CostSurface, LockstepDifferentialUnderRandomPerturbations) {
           const StageMap cand = jiggle(rng, cur);
           const bool adopt = rng() % 2 == 0;
           balance::SurfaceEval inc = surf.evaluate(cand);
-          const balance::SurfaceEval ref = surf.evaluate_full_rescan(cand);
+          const balance::SurfaceEval ref =
+              balance::evaluate_full_rescan(cur, cand, w, t, m, caps);
           std::ostringstream os;
           if (inc.norm_w_before != ref.norm_w_before)
             os << "norm_w_before " << inc.norm_w_before << " vs "
@@ -292,16 +293,18 @@ TEST(CostSurface, LockstepDifferentialUnderRandomPerturbations) {
     };
     const auto compare = [&](int) -> std::optional<std::string> {
       if (!last_eval_diff.empty()) return "evaluate(): " + last_eval_diff;
-      if (surf.bottleneck_w() != surf.bottleneck_w_full_rescan()) {
+      const balance::SurfaceEval ref =
+          balance::evaluate_full_rescan(cur, cur, w, t, m, caps);
+      if (surf.bottleneck_w() != ref.norm_w_before) {
         std::ostringstream os;
         os << "bottleneck_w " << surf.bottleneck_w() << " != rescan "
-           << surf.bottleneck_w_full_rescan();
+           << ref.norm_w_before;
         return os.str();
       }
-      if (surf.bottleneck_t() != surf.bottleneck_t_full_rescan()) {
+      if (surf.bottleneck_t() != ref.norm_t_before) {
         std::ostringstream os;
         os << "bottleneck_t " << surf.bottleneck_t() << " != rescan "
-           << surf.bottleneck_t_full_rescan();
+           << ref.norm_t_before;
         return os.str();
       }
       // The cached per-stage sums must be the exact stage_loads values.
@@ -341,9 +344,13 @@ TEST(RebalancerDifferential, IncrementalMatchesFullRescanOverStream) {
         for (int s = 0; s < stages; s += 2) {
           cfg.capacities[static_cast<std::size_t>(s)] = 0.5;
         }
+        // Interleave the stages over the default cost model's two 4-GPU
+        // nodes, so neighbouring stages sit on different nodes and the
+        // placement moves every migration price.
         cfg.stage_to_rank.resize(stages);
         for (int s = 0; s < stages; ++s) {
-          cfg.stage_to_rank[static_cast<std::size_t>(s)] = stages - 1 - s;
+          cfg.stage_to_rank[static_cast<std::size_t>(s)] =
+              (s % 2) * (stages / 2) + s / 2;
         }
       }
       cfg.incremental = true;
@@ -361,6 +368,7 @@ TEST(RebalancerDifferential, IncrementalMatchesFullRescanOverStream) {
       prof.params.assign(layers, 100.0);
       StageMap cur_inc = StageMap::uniform(layers, stages);
       StageMap cur_ref = cur_inc;
+      int migrations = 0;  // accepted decisions that moved a layer
       for (int iter = 0; iter < 60; ++iter) {
         // Random-walk the profile: a few layers drift each step, like a
         // dynamism engine shifting load.
@@ -381,6 +389,17 @@ TEST(RebalancerDifferential, IncrementalMatchesFullRescanOverStream) {
         ASSERT_EQ(a.candidate_bytes, b.candidate_bytes) << "iter " << iter;
         ASSERT_EQ(a.overhead.profile_s, b.overhead.profile_s);
         ASSERT_EQ(a.overhead.migrate_s, b.overhead.migrate_s);
+        // Each migration is priced once: the charged time is the plan's
+        // own estimate over the placement, and nothing when rejected.
+        for (const auto* o : {&a, &b}) {
+          ASSERT_EQ(o->overhead.migrate_s,
+                    o->decision == balance::MapDecision::Accepted
+                        ? o->migration.estimated_time_s(comm::CostModel{},
+                                                        cfg.stage_to_rank)
+                        : 0.0)
+              << "iter " << iter;
+        }
+        if (!a.migration.empty()) ++migrations;
         ASSERT_EQ(a.overhead.decide_s, b.overhead.decide_s);
         ASSERT_EQ(a.migration.transfers.size(), b.migration.transfers.size());
         for (std::size_t i = 0; i < a.migration.transfers.size(); ++i) {
@@ -396,6 +415,7 @@ TEST(RebalancerDifferential, IncrementalMatchesFullRescanOverStream) {
         cur_inc = a.map;
         cur_ref = b.map;
       }
+      EXPECT_GT(migrations, 0) << "the stream never priced a migration";
     }
   }
 }
